@@ -4,138 +4,17 @@ FUZZTIME ?= 5s
 # (see EXPERIMENTS.md).
 TABLE4FLAGS ?= -samples 5 -timing model
 
-.PHONY: check lint vet build test race fuzz-smoke live-smoke clientpath-smoke saturate-smoke dist-smoke phases-smoke timeline-smoke bench bench-gate table4 clean
+.PHONY: check bench table4 clean
 
-# check is the CI entry point: static checks, build, the full test suite,
-# the race-enabled suite (exercising the parallel campaign engine), the
-# benchmark regression gate (short mode: allocs/op only, since shared
-# runners have noisy timing), a short fuzz pass over each wire-parsing
-# target, a live loopback smoke run, the sharded-accept saturate smoke, the
-# distributed coordinator/worker smoke, the observability smokes (phase
-# traces + Prometheus /metrics), and the streaming-telemetry smoke (windowed
-# timeline artifacts from a 2-worker dist run, digest-exact vs single-process).
-check: lint build test race bench-gate fuzz-smoke live-smoke clientpath-smoke saturate-smoke dist-smoke phases-smoke timeline-smoke
-
-# lint runs the always-available static checks (gofmt, go vet) and, when
-# installed, staticcheck. The toolchain image does not bundle staticcheck,
-# so its absence is not an error.
-lint: vet
-	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
-		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
-	@if command -v staticcheck >/dev/null 2>&1; then \
-		staticcheck ./...; \
-	else \
-		echo "staticcheck not installed; skipping"; \
-	fi
-
-vet:
-	$(GO) vet ./...
-
-build:
-	$(GO) build ./...
-
-test:
-	$(GO) test ./...
-
-# The harness and crypto packages hold the shared state the parallel engine
-# touches (registries, credential cache, lazy tables); -race across the tree
-# is the guard that keeps them honest.
-race:
-	$(GO) test -race ./...
-
-# One bounded fuzz run per target; Go requires -fuzz to match a single
-# target per invocation, hence the loop.
-fuzz-smoke:
-	for target in FuzzClientHelloParse FuzzServerHelloParse FuzzRecordDeprotect; do \
-		$(GO) test ./internal/tls13 -run '^$$' -fuzz $$target -fuzztime $(FUZZTIME) || exit 1; \
-	done
-
-# live-smoke drives the real TLS stack over loopback sockets under the race
-# detector: a short pqbench live run for the headline PQ suite, twice, and a
-# check that the seeded arrival schedule (the deterministic half of the
-# subsystem — measured latencies are not) produces the same digest both
-# times. A third run turns on the full precompute subsystem (-pool:
-# key-share factory, amortized client caches, signing worker pool) and must
-# produce the same digest and zero failures under the race detector.
-live-smoke:
-	$(GO) build -race -o bin/pqbench-race ./cmd/pqbench
-	@d1=$$(bin/pqbench-race live -kem kyber768 -sig dilithium3 -rate 50 -duration 1s | \
-		tee /dev/stderr | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p'); \
-	d2=$$(bin/pqbench-race live -kem kyber768 -sig dilithium3 -rate 50 -duration 1s | \
-		sed -n 's/.*digest \([0-9a-f]*\).*/\1/p'); \
-	if [ -z "$$d1" ] || [ "$$d1" != "$$d2" ]; then \
-		echo "live-smoke: schedule digest not reproducible: '$$d1' vs '$$d2'"; exit 1; fi; \
-	d3=$$(bin/pqbench-race live -kem kyber768 -sig dilithium3 -rate 50 -duration 1s -pool | \
-		tee /dev/stderr | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p'); \
-	if [ "$$d1" != "$$d3" ]; then \
-		echo "live-smoke: -pool changed the schedule digest: '$$d1' vs '$$d3'"; exit 1; fi; \
-	echo "live-smoke OK: schedule digest $$d1 reproducible across runs (incl. -pool)"
-
-# clientpath-smoke drives the client-side fast path end to end under the
-# race detector: a loopback run with the batching verification pool and
-# batched server encapsulation on (-verify-workers/-encap-batch) must
-# produce the same seeded schedule digest as an unpooled run, actually
-# route checks through the verify pool, and complete without failures.
-clientpath-smoke:
-	$(GO) build -race -o bin/pqbench-race ./cmd/pqbench
-	@d1=$$(bin/pqbench-race live -kem kyber768 -sig dilithium3 -rate 50 -duration 1s | \
-		sed -n 's/.*digest \([0-9a-f]*\).*/\1/p'); \
-	out=$$(bin/pqbench-race live -kem kyber768 -sig dilithium3 -rate 50 -duration 1s \
-		-verify-workers 2 -encap-batch 16 | tee /dev/stderr); \
-	d2=$$(echo "$$out" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p'); \
-	if [ -z "$$d1" ] || [ "$$d1" != "$$d2" ]; then \
-		echo "clientpath-smoke: batched run changed the schedule digest: '$$d1' vs '$$d2'"; exit 1; fi; \
-	if ! echo "$$out" | grep -q '^verify pool: 2 workers, [1-9]'; then \
-		echo "clientpath-smoke: verify pool saw no traffic"; exit 1; fi; \
-	if ! echo "$$out" | grep -q 'failed 0,'; then \
-		echo "clientpath-smoke: batched run had handshake failures"; exit 1; fi; \
-	echo "clientpath-smoke OK: schedule digest $$d1 identical with verify/encap batching on"
-
-# saturate-smoke runs a short `pqbench saturate` ladder (sharded accept,
-# split-schedule dispatch, resumption on the shared ticket store) under the
-# race detector, twice, and checks the sweep digest — the fingerprint of
-# every rung's seeded arrival plan — is identical both times. Achieved
-# rates are the host's; the offered plans must not be.
-saturate-smoke:
-	$(GO) build -race -o bin/pqbench-race ./cmd/pqbench
-	@d1=$$(bin/pqbench-race saturate -rate 40 -duration 1s -rungs 2 -shards 1,2 -resume | \
-		tee /dev/stderr | sed -n 's/.*sweep digest \([0-9a-f]*\).*/\1/p'); \
-	d2=$$(bin/pqbench-race saturate -rate 40 -duration 1s -rungs 2 -shards 1,2 -resume | \
-		sed -n 's/.*sweep digest \([0-9a-f]*\).*/\1/p'); \
-	if [ -z "$$d1" ] || [ "$$d1" != "$$d2" ]; then \
-		echo "saturate-smoke: sweep digest not reproducible: '$$d1' vs '$$d2'"; exit 1; fi; \
-	echo "saturate-smoke OK: sweep digest $$d1 reproducible across runs"
-
-# dist-smoke exercises the distributed load-generation subsystem end to end
-# under the race detector, in Simulate mode (where the merged Result is a
-# pure function of the arrival plan, so exact equality is checkable). Leg 1
-# splits one plan across two self-spawned dist-worker processes; -verify
-# fails unless the merged digest, counters, and p50/p95/p99 equal a
-# single-process run of the identical plan. Leg 2 SIGKILLs one worker
-# mid-run: the coordinator must detect the death by heartbeat timeout,
-# reassign the orphaned shard to the survivor, and still verify exactly.
-dist-smoke:
-	$(GO) build -race -o bin/pqbench-race ./cmd/pqbench
-	bin/pqbench-race dist-coordinator -simulate -verify -workers 2 -workers-local 2 \
-		-rate 80 -duration 1s -start-delay 50ms -heartbeat-timeout 2s
-	bin/pqbench-race dist-coordinator -simulate -verify -workers 2 -workers-local 2 \
-		-rate 80 -duration 1s -start-delay 50ms \
-		-heartbeat-timeout 400ms -kill-worker-after 500ms
-	@echo "dist-smoke OK: distributed run reproduces the single-process digest (incl. kill/reassign leg)"
-
-# phases-smoke exercises the observability subsystem end to end: `pqbench
-# phases` for a classical and a PQ cell (JSONL schema self-check, flight-wait
-# visible), then a real pqtls-server scraped over /metrics and /healthz.
-phases-smoke:
-	sh scripts/phases_smoke.sh
-
-# timeline-smoke exercises the streaming-telemetry subsystem end to end: a
-# 2-worker distributed Simulate run under the race detector with -window
-# telemetry on, where -verify asserts the merged fleet timeline is
-# digest-exact vs the single-process run, plus schema checks on the written
-# .jsonl/.csv artifacts and a round-trip through `pqbench timeline`.
-timeline-smoke:
-	sh scripts/timeline_smoke.sh
+# check is the CI entry point. scripts/check.sh holds the one list of
+# checks: gofmt/vet/staticcheck, build, the full test suite, the race-enabled
+# suite, the allocs-only benchmark regression gate, a short fuzz pass over
+# each wire-parsing target, the live loopback smoke (incl. -pool), the
+# sharded-accept saturate smoke, the distributed coordinator/worker smoke,
+# the observability smokes (phase traces + Prometheus /metrics, windowed
+# timelines), and a workers-1-vs-8 determinism spot check.
+check:
+	FUZZTIME=$(FUZZTIME) sh scripts/check.sh
 
 # bench refreshes the committed microbenchmark baseline (kernel ns/op +
 # allocs/op + live loopback handshakes/sec) and runs the go-test-native
@@ -144,14 +23,8 @@ timeline-smoke:
 # they move for a bad one.
 bench:
 	$(GO) build -o bin/pqbench ./cmd/pqbench
-	bin/pqbench microbench -out BENCH_10.json
+	bin/pqbench microbench -out BENCH_12.json
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# bench-gate compares a fresh short microbench run against the newest
-# committed BENCH_*.json (allocs-only in short mode). Run without -short
-# locally for the full >10% ns/op gate.
-bench-gate:
-	sh scripts/bench_gate.sh -short
 
 # table4 regenerates the constrained-network tables (Table 4a/4b) with the
 # parallel engine, verifies worker-count determinism (the -workers 8 output

@@ -40,8 +40,6 @@ func runLive(args []string) error {
 	metrics := fs.String("metrics", "", "serve Prometheus /metrics + /healthz on this address for the run (e.g. 127.0.0.1:9090)")
 	pool := fs.Bool("pool", false, "enable the precompute subsystem end to end: key-share factory on the client, amortized chain/verifier caches, signing worker pool on the server")
 	signWorkers := fs.Int("sign-workers", 0, "server signing worker pool size (0 = sign inline; -pool defaults this to 2)")
-	verifyWorkers := fs.Int("verify-workers", 0, "client verification worker pool size: batch in-flight CertificateVerify checks through one multi-sponge pass (0 = verify inline; -pool defaults this to 2)")
-	encapBatch := fs.Int("encap-batch", 0, "server encapsulation batch size: collect concurrent KEM encapsulations into one multi-sponge pass (0 = encapsulate inline; -pool defaults this to 16)")
 	amortize := fs.Bool("amortize", false, "share chain-verification and verifier-context caches across client connections (-pool implies)")
 	jsonOut := fs.Bool("json", false, "emit the run's Result on stdout in the canonical JSON encoding (the same layout the distributed protocol pins); human-readable chatter moves to stderr")
 	window := fs.Duration("window", 0, "windowed telemetry interval: per-window snapshots, a live progress line, and the timeline in -json output (0 = off)")
@@ -51,12 +49,6 @@ func runLive(args []string) error {
 	if *pool {
 		if *signWorkers == 0 {
 			*signWorkers = 2
-		}
-		if *verifyWorkers == 0 {
-			*verifyWorkers = 2
-		}
-		if *encapBatch == 0 {
-			*encapBatch = 16
 		}
 		*amortize = true
 	}
@@ -94,7 +86,6 @@ func runLive(args []string) error {
 		MetricsAddr:      *metrics,
 		PhaseMetrics:     *metrics != "",
 		SignWorkers:      *signWorkers,
-		EncapBatch:       *encapBatch,
 	})
 	if err != nil {
 		return err
@@ -103,7 +94,7 @@ func runLive(args []string) error {
 	if *pool {
 		keyPool = harness.NewKeyPool()
 		err := keyPool.StartFactory(harness.FactoryOptions{
-			Suites: []string{*kemName}, Target: 128, LowWater: 32, Batch: 32,
+			Suites: []string{*kemName}, Target: 128, LowWater: 32,
 		})
 		if err != nil {
 			return err
@@ -138,12 +129,6 @@ func runLive(args []string) error {
 	}
 	if keyPool != nil {
 		runOpts.KeyShares = keyPool
-	}
-	var verifyPool *loadgen.VerifyPool
-	if *verifyWorkers > 0 {
-		verifyPool = loadgen.NewVerifyPool(*verifyWorkers, 16, 0)
-		defer verifyPool.Close()
-		runOpts.VerifyPool = verifyPool
 	}
 	var tl *obs.Timeline
 	stopProgress := func() {}
@@ -229,16 +214,6 @@ func runLive(args []string) error {
 	if *signWorkers > 0 {
 		sp := srv.SignPoolStats()
 		fmt.Printf("sign pool: %d workers, %d signatures, %d errors\n", *signWorkers, sp.Signs, sp.Errors)
-	}
-	if *encapBatch > 0 {
-		ep := srv.EncapPoolStats()
-		fmt.Printf("encap pool: batch %d, %d encapsulations (%d batched in %d calls), %d errors\n",
-			*encapBatch, ep.Encaps, ep.Batched, ep.Batches, ep.Errors)
-	}
-	if verifyPool != nil {
-		vp := verifyPool.Stats()
-		fmt.Printf("verify pool: %d workers, %d verifications (%d batched in %d calls)\n",
-			*verifyWorkers, vp.Verifies, vp.Batched, vp.Batches)
 	}
 	if keyPool != nil {
 		st := keyPool.FactoryStats()

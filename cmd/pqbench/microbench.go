@@ -21,7 +21,6 @@ import (
 	"pqtls/internal/live"
 	"pqtls/internal/loadgen"
 	"pqtls/internal/obs"
-	"pqtls/internal/sig"
 	"pqtls/internal/tls13"
 )
 
@@ -84,22 +83,6 @@ func kernelBenchmarks() []namedBench {
 			sha3.ShakeSum256Into(dst, in)
 		}
 	})
-	add("sha3/shake128-batch16x34", func(b *testing.B) {
-		// One op = 16 XOF-seed-shaped messages (Kyber/Dilithium matrix
-		// expansion inputs) squeezed for a full rate block each; divide
-		// ns/op by 16 for the per-message cost the sequential
-		// shake256into-style kernels report.
-		msgs := make([][]byte, 16)
-		dsts := make([][]byte, 16)
-		for j := range msgs {
-			msgs[j] = make([]byte, 34)
-			msgs[j][0] = byte(j)
-			dsts[j] = make([]byte, 168)
-		}
-		for i := 0; i < b.N; i++ {
-			sha3.ShakeSum128Batch(dsts, msgs)
-		}
-	})
 
 	kem := func(p *mlkem.Params) {
 		drbg := benchStream("microbench/" + p.Name)
@@ -139,37 +122,6 @@ func kernelBenchmarks() []namedBench {
 	}
 	kem(mlkem.Kyber512)
 	kem(mlkem.Kyber768)
-	add("kyber768/keygen-batch16", func(b *testing.B) {
-		// One op = 16 keypairs through the batched path the key-share
-		// factory uses; divide by 16 for the per-key cost next to
-		// kyber768/keygen.
-		drbg := benchStream("microbench/kyber768-batch")
-		for i := 0; i < b.N; i++ {
-			if _, _, err := mlkem.Kyber768.GenerateKeyBatch(drbg, 16); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	add("kyber768/encap-batch16", func(b *testing.B) {
-		// One op = 16 encapsulations through the multi-sponge batched path
-		// the encap pool uses; divide by 16 for the per-share cost next to
-		// kyber768/encap.
-		drbg := benchStream("microbench/kyber768-encap-batch")
-		pk, _, err := mlkem.Kyber768.GenerateKey(drbg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pks := make([][]byte, 16)
-		for j := range pks {
-			pks[j] = pk
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := mlkem.Kyber768.EncapBatch(drbg, pks); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	msg := []byte("the performance of post-quantum tls 1.3")
 	{
@@ -216,23 +168,6 @@ func kernelBenchmarks() []namedBench {
 			for i := 0; i < b.N; i++ {
 				if !verifyKey.Verify(msg, sig) {
 					b.Fatal("verify failed")
-				}
-			}
-		})
-		add("dilithium3/verify-batch16", func(b *testing.B) {
-			// One op = 16 verifications through the interleaved multi-sponge
-			// batch pass the verify pool uses; divide by 16 for the per-check
-			// cost next to dilithium3/verify-cached.
-			msgs := make([][]byte, 16)
-			sigs := make([][]byte, 16)
-			for j := range msgs {
-				msgs[j], sigs[j] = msg, sig
-			}
-			for i := 0; i < b.N; i++ {
-				for _, ok := range verifyKey.VerifyBatch(msgs, sigs) {
-					if !ok {
-						b.Fatal("verify failed")
-					}
 				}
 			}
 		})
@@ -315,36 +250,6 @@ func kernelBenchmarks() []namedBench {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-
-	{
-		// Verify-pool round trip: Submit + Wait through a 2-worker batching
-		// verification pool over the cached dilithium3 context, driven by
-		// concurrent submitters so the batch path actually engages — the
-		// latency a connection goroutine observes for its CertificateVerify
-		// check on a loaded client.
-		s := sig.MustByName("dilithium3")
-		drbg := benchStream("microbench/verifypool")
-		pub, priv, err := s.GenerateKey(drbg)
-		if err != nil {
-			panic(err)
-		}
-		sigBytes, err := s.Sign(priv, msg)
-		if err != nil {
-			panic(err)
-		}
-		pool := loadgen.NewVerifyPool(2, 16, 0)
-		add("loadgen/verifypool", func(b *testing.B) {
-			b.SetParallelism(4)
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if !pool.VerifyCV(s, pub, msg, sigBytes) {
-						b.Error("verify failed")
-						return
-					}
-				}
-			})
 		})
 	}
 
@@ -529,8 +434,7 @@ func runMicrobench(args []string) error {
 			return fmt.Errorf("live measurement: %w", err)
 		}
 		// The pooled probe runs the whole precompute subsystem — key-share
-		// factory, amortized client caches, 2-worker sign pool, batched
-		// server encapsulation, batched client verification — at a higher
+		// factory, amortized client caches, 2-worker sign pool — at a higher
 		// offered load, since the point of the subsystem is to lift the
 		// server's ceiling, not its behaviour at the baseline rate.
 		pr, err := liveThroughput("kyber768", "dilithium3", *poolRate, *duration, true)
@@ -595,7 +499,6 @@ func liveThroughput(kemName, sigName string, rate float64, duration time.Duratio
 	var shutdown func(time.Duration) error
 	if pooled {
 		srvOpts.SignWorkers = 2
-		srvOpts.EncapBatch = 16
 		srvOpts.MaxConns = 256
 		workers = runtime.GOMAXPROCS(0)
 		ss, err := live.ServeSharded("127.0.0.1:0", srvOpts, workers)
@@ -629,7 +532,7 @@ func liveThroughput(kemName, sigName string, rate float64, duration time.Duratio
 	if pooled {
 		keyPool := harness.NewKeyPool()
 		err := keyPool.StartFactory(harness.FactoryOptions{
-			Suites: []string{kemName}, Target: 128, LowWater: 32, Batch: 32,
+			Suites: []string{kemName}, Target: 128, LowWater: 32,
 		})
 		if err != nil {
 			shutdown(time.Second)
@@ -638,9 +541,6 @@ func liveThroughput(kemName, sigName string, rate float64, duration time.Duratio
 		defer keyPool.StopFactory()
 		runOpts.KeyShares = keyPool
 		runOpts.Amortize = true
-		vp := loadgen.NewVerifyPool(2, 16, 0)
-		defer vp.Close()
-		runOpts.VerifyPool = vp
 		// Discarded warm-up pass against the same server before the clock
 		// matters: fills the key-share factory, sizes the GC heap, and warms
 		// the shard runtimes — the steady state a saturate ladder reaches on

@@ -84,7 +84,7 @@ func runSaturate(args []string) error {
 	if *pool {
 		keyPool = harness.NewKeyPool()
 		err := keyPool.StartFactory(harness.FactoryOptions{
-			Suites: []string{*kemName}, Target: 128, LowWater: 32, Batch: 32,
+			Suites: []string{*kemName}, Target: 128, LowWater: 32,
 		})
 		if err != nil {
 			return err

@@ -147,21 +147,11 @@ func sampleInBall(seed []byte, tau int) poly {
 
 // sampleInBallInto is sampleInBall expanding the seed through a pooled
 // SHAKE256 state, writing the challenge into c with all staging in the
-// caller-lent buffer.
+// caller-lent buffer. The consumed byte sequence is 8 sign bytes, then one
+// byte per rejection step.
 func sampleInBallInto(c *poly, seed []byte, tau int, buf *[16]byte) {
-	x := sha3.NewShake256()
-	x.Write(seed)
-	sampleInBallStream(c, x, tau, buf)
-	sha3.PutXOF(x)
-}
-
-// sampleInBallStream runs the in-ball rejection sampler against an
-// already-positioned challenge stream — a single SHAKE256 over the seed,
-// or one lane of a MultiXOF batch expanding many challenges at once. The
-// consumed byte sequence (8 sign bytes, then one byte per rejection step)
-// is identical either way, which is what pins the batch verifier's
-// decisions to the sequential ones.
-func sampleInBallStream(c *poly, r io.Reader, tau int, buf *[16]byte) {
+	r := sha3.NewShake256()
+	r.Write(seed)
 	signBuf := buf[:8]
 	if _, err := io.ReadFull(r, signBuf); err != nil {
 		panic("mldsa: stream read: " + err.Error())
@@ -190,6 +180,7 @@ func sampleInBallStream(c *poly, r io.Reader, tau int, buf *[16]byte) {
 		}
 		signs >>= 1
 	}
+	sha3.PutXOF(r)
 }
 
 // packBitsInto serializes f(coeff) (width bits each), appending to dst.

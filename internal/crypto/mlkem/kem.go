@@ -242,8 +242,8 @@ func (p *Params) EncapsulateInto(rng io.Reader, pk, ct, ss []byte) error {
 	if _, err := io.ReadFull(rng, w.m[:]); err != nil {
 		return fmt.Errorf("mlkem: reading message: %w", err)
 	}
-	// Round-3 Kyber hashes the raw randomness first: m = H(m). The batch
-	// one-shots absorb fully before squeezing, so hashing in place is safe.
+	// Round-3 Kyber hashes the raw randomness first: m = H(m). The one-shot
+	// sums absorb fully before squeezing, so hashing in place is safe.
 	if p.isShake() {
 		sha3.Sum256Into(w.m[:], w.m[:])
 		sha3.Sum256Into(w.h[:], pk)
@@ -324,10 +324,11 @@ func (p *Params) DecapsulateInto(sk, ct, ss []byte) error {
 }
 
 // pkeEncryptInto is the inner IND-CPA encryption K-PKE.Encrypt(pk, m; r)
-// writing into dst (len CiphertextSize), expanding the 2k+1 noise PRFs
-// from coins into w before handing off to the shared core.
+// writing into dst (len CiphertextSize). The 2k+1 noise PRFs (r-vector,
+// e1-vector, e2) are expanded from coins into w in nonce order.
 func (p *Params) pkeEncryptInto(dst, pk, m, coins []byte, w *kemWork) {
 	per := 2*p.K + 1
+	noise := w.noiseRefs[:per]
 	off := 0
 	for nonce := 0; nonce < per; nonce++ {
 		eta := p.Eta2
@@ -336,17 +337,10 @@ func (p *Params) pkeEncryptInto(dst, pk, m, coins []byte, w *kemWork) {
 		}
 		out := w.prfAll[off : off+64*eta]
 		p.sym.PRF(out, coins, byte(nonce))
-		w.noiseRefs[nonce] = out
+		noise[nonce] = out
 		off += 64 * eta
 	}
-	p.pkeEncryptParts(dst, pk, m, w.noiseRefs[:per], w)
-}
 
-// pkeEncryptParts is the noise-parameterized encryption core: noise holds
-// the 2k+1 PRF expansions (r-vector, e1-vector, e2) in nonce order, either
-// freshly expanded (pkeEncryptInto) or batch-expanded across many
-// messages (EncapBatch).
-func (p *Params) pkeEncryptParts(dst, pk, m []byte, noise [][]byte, w *kemWork) {
 	at, rv, e1, u, tv := w.mat, w.vec1, w.vec2, w.vec3, w.vec4
 	for i := 0; i < p.K; i++ {
 		tv[i].unpack(12, pk[384*i:384*(i+1)])
@@ -383,7 +377,7 @@ func (p *Params) pkeEncryptParts(dst, pk, m []byte, noise [][]byte, w *kemWork) 
 	mu.fromMsg(m)
 	v.add(&mu)
 
-	off := 0
+	off = 0
 	for i := range u {
 		u[i].compress(p.Du)
 		u[i].pack(p.Du, dst[off:off+32*int(p.Du)])

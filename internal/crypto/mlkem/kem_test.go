@@ -6,6 +6,8 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"pqtls/internal/crypto/sha3"
 )
 
 var allParams = []*Params{Kyber512, Kyber768, Kyber1024, Kyber90s512, Kyber90s768, Kyber90s1024}
@@ -266,6 +268,45 @@ func TestZetaTables(t *testing.T) {
 		if freduce(montReduce(int32(zetasMont[i])*7)) != fqmul(zetas[i], 7) {
 			t.Fatalf("montReduce round-trip failed for zeta %d", i)
 		}
+	}
+}
+
+// drbgReader is a deterministic random stream for differential tests.
+func drbgReader(seed string) sha3.XOF {
+	x := sha3.NewShake256()
+	x.Write([]byte(seed))
+	return x
+}
+
+// TestEncapsulateIntoZeroAlloc pins the zero-alloc contract of the
+// SHAKE-set encapsulation hot path (the per-connection server cost).
+func TestEncapsulateIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats escape analysis; allocs gated by bench-gate")
+	}
+	rng := drbgReader("encap-zero-alloc")
+	pk, sk, err := Kyber768.GenerateKey(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := make([]byte, Kyber768.CiphertextSize())
+	ss := make([]byte, Kyber768.SharedSecretSize())
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := Kyber768.EncapsulateInto(rng, pk, ct, ss); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("EncapsulateInto allocates %v times per op, want 0", allocs)
+	}
+	ss2 := make([]byte, Kyber768.SharedSecretSize())
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := Kyber768.DecapsulateInto(sk, ct, ss2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DecapsulateInto allocates %v times per op, want 0", allocs)
 	}
 }
 

@@ -188,13 +188,6 @@ type RunOptions struct {
 	// KeyPool, when non-nil, supplies pre-generated client key shares (see
 	// KeyPool); modeled timing is unaffected.
 	KeyPool *KeyPool
-	// CVVerifier, when non-nil, routes the client's CertificateVerify check
-	// through a batching verification pool (loadgen.VerifyPool). Like
-	// KeyPool it serves only unpinned runs — see the bypass note below.
-	CVVerifier tls13.CVVerifier
-	// Encapsulator, when non-nil, routes the server's KEM encapsulation
-	// through a batching pool (live.EncapPool). Same bypass as CVVerifier.
-	Encapsulator tls13.Encapsulator
 	// Rand, when non-nil, seeds both endpoints' randomness. Campaigns
 	// always set it (a per-sample DRBG), pinning the variable-length
 	// randomized signatures that would otherwise jitter flight sizes and
@@ -232,7 +225,7 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 	srvCfg := &tls13.Config{
 		KEMName: opts.KEM, SigName: opts.Sig, ServerName: "server.example",
 		Chain: creds.chain, PrivateKey: creds.priv, Buffer: opts.Buffer,
-		TicketKey: &resumptionTicketKey,
+		Tickets: resumptionTickets,
 	}
 	clientKEM := opts.KEM
 	if opts.ClientKEM != "" {
@@ -258,19 +251,6 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 	// unpinned (live/wall-clock) runs.
 	if opts.KeyPool != nil && opts.Rand == nil {
 		cliCfg.PresetKeyShare = opts.KeyPool.Get(clientKEM)
-	}
-	// The batching pools follow the same bypass: they draw on crypto/rand
-	// and resolve in scheduling-dependent order, so they serve only unpinned
-	// runs. The tls13 endpoints enforce this too (the hooks are ignored when
-	// Config.Rand is set); gating here keeps the invariant visible at the
-	// harness layer and keeps pinned configs hook-free.
-	if opts.Rand == nil {
-		if opts.CVVerifier != nil {
-			cliCfg.CVVerifier = opts.CVVerifier
-		}
-		if opts.Encapsulator != nil {
-			srvCfg.Encapsulator = opts.Encapsulator
-		}
 	}
 	if opts.ServerProf != nil {
 		srvCfg.Hooks = opts.ServerProf
@@ -477,9 +457,9 @@ func stopwatchFor(m *CostMeter) func() func() time.Duration {
 	}
 }
 
-// resumptionTicketKey is the static key server instances share so sessions
-// resume across simulated handshakes.
-var resumptionTicketKey = [16]byte{'p', 'q', 't', 'l', 's', '-', 't', 'i', 'c', 'k', 'e', 't', '-', 'k', 'e', 'y'}
+// resumptionTickets is the ticket store every simulated server shares, so
+// sessions resume across simulated handshakes.
+var resumptionTickets = tls13.NewTicketStore([16]byte{'p', 'q', 't', 'l', 's', '-', 't', 'i', 'c', 'k', 'e', 't', '-', 'k', 'e', 'y'})
 
 // obtainSession runs one un-simulated full handshake to get a ticket.
 func obtainSession(cliCfg, srvCfg *tls13.Config) (*tls13.Session, error) {

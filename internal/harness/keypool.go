@@ -20,11 +20,10 @@ import (
 //
 // Beyond the one-shot Fill, StartFactory turns the pool into an async
 // precompute subsystem: a background goroutine per suite keeps the pool
-// between a low watermark and a target level, generating keys in batches
-// through the KEM's amortized batch keygen (one multi-sponge pass across
-// the batch for ML-KEM). Get never blocks — a drained pool returns nil and
-// the handshake generates its key inline while the factory refills behind
-// it.
+// between a low watermark and a target level, generating up to
+// factoryBatch keys per refill step. Get never blocks — a drained pool
+// returns nil and the handshake generates its key inline while the factory
+// refills behind it.
 type KeyPool struct {
 	mu sync.Mutex
 	m  map[string][]*tls13.KeyShare
@@ -106,16 +105,16 @@ type FactoryOptions struct {
 	Target int
 	// LowWater is the level that triggers a refill (default Target/4).
 	LowWater int
-	// Batch is the number of key pairs generated per factory wake-up; each
-	// batch runs through the KEM's batched keygen, sharing one sha3 pass
-	// across the batch for ML-KEM (default 16).
-	Batch int
 }
+
+// factoryBatch is the most key pairs a refill step generates before it
+// publishes them to the pool and checks for shutdown.
+const factoryBatch = 32
 
 // FactoryStats is a snapshot of the factory and pool counters.
 type FactoryStats struct {
 	// Generated counts key pairs produced by the factory; Batches counts
-	// the batch-keygen calls that produced them.
+	// the refill steps that produced them.
 	Generated, Batches uint64
 	// Hits counts Get calls served from the pool; Misses counts Get calls
 	// that found it empty (inline keygen fallback).
@@ -165,9 +164,6 @@ func (p *KeyPool) StartFactory(opts FactoryOptions) error {
 	if opts.LowWater <= 0 {
 		opts.LowWater = opts.Target / 4
 	}
-	if opts.Batch <= 0 {
-		opts.Batch = 16
-	}
 	if len(opts.Suites) == 0 {
 		return errors.New("harness: factory needs at least one suite")
 	}
@@ -195,7 +191,7 @@ func (p *KeyPool) StartFactory(opts FactoryOptions) error {
 	// Prime synchronously so callers see a warm pool, then hand each suite
 	// to its refill goroutine.
 	for name, k := range kems {
-		if err := p.refill(f, name, k, opts.Target, opts.Batch); err != nil {
+		if err := p.refill(f, name, k, opts.Target); err != nil {
 			p.mu.Lock()
 			p.factory = nil
 			p.mu.Unlock()
@@ -205,14 +201,14 @@ func (p *KeyPool) StartFactory(opts FactoryOptions) error {
 	}
 	for name, k := range kems {
 		f.wg.Add(1)
-		go p.factoryLoop(f, name, k, opts.Target, opts.Batch)
+		go p.factoryLoop(f, name, k, opts.Target)
 	}
 	return nil
 }
 
-// refill tops the suite up to target in batch-sized steps, stopping early
-// on factory shutdown.
-func (p *KeyPool) refill(f *factory, kemName string, k kem.KEM, target, batch int) error {
+// refill tops the suite up to target in factoryBatch-sized steps, stopping
+// early on factory shutdown.
+func (p *KeyPool) refill(f *factory, kemName string, k kem.KEM, target int) error {
 	for {
 		select {
 		case <-f.stop:
@@ -223,16 +219,16 @@ func (p *KeyPool) refill(f *factory, kemName string, k kem.KEM, target, batch in
 		if n <= 0 {
 			return nil
 		}
-		if n > batch {
-			n = batch
-		}
-		pubs, privs, err := kem.GenerateKeyBatch(k, nil, n)
-		if err != nil {
-			return err
+		if n > factoryBatch {
+			n = factoryBatch
 		}
 		shares := make([]*tls13.KeyShare, n)
 		for i := range shares {
-			shares[i] = &tls13.KeyShare{Pub: pubs[i], Priv: privs[i]}
+			pub, priv, err := k.GenerateKey(nil)
+			if err != nil {
+				return err
+			}
+			shares[i] = &tls13.KeyShare{Pub: pub, Priv: priv}
 		}
 		p.mu.Lock()
 		p.m[kemName] = append(p.m[kemName], shares...)
@@ -242,7 +238,7 @@ func (p *KeyPool) refill(f *factory, kemName string, k kem.KEM, target, batch in
 	}
 }
 
-func (p *KeyPool) factoryLoop(f *factory, kemName string, k kem.KEM, target, batch int) {
+func (p *KeyPool) factoryLoop(f *factory, kemName string, k kem.KEM, target int) {
 	defer f.wg.Done()
 	for {
 		select {
@@ -250,7 +246,7 @@ func (p *KeyPool) factoryLoop(f *factory, kemName string, k kem.KEM, target, bat
 			return
 		case <-f.wake[kemName]:
 		}
-		if err := p.refill(f, kemName, k, target, batch); err != nil {
+		if err := p.refill(f, kemName, k, target); err != nil {
 			f.recordErr(err)
 			return
 		}
@@ -258,7 +254,7 @@ func (p *KeyPool) factoryLoop(f *factory, kemName string, k kem.KEM, target, bat
 }
 
 // StopFactory shuts the factory down gracefully: refill goroutines finish
-// the batch in flight, then exit. Pooled keys remain available to Get. It
+// the refill step in flight, then exit. Pooled keys remain available to Get. It
 // returns the first keygen error the factory hit, if any, and is a no-op
 // when no factory is running.
 func (p *KeyPool) StopFactory() error {

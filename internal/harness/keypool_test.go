@@ -16,7 +16,7 @@ import (
 func TestFactoryPrimesAndRefills(t *testing.T) {
 	pool := NewKeyPool()
 	err := pool.StartFactory(FactoryOptions{
-		Suites: []string{"kyber768", "x25519"}, Target: 12, LowWater: 6, Batch: 4,
+		Suites: []string{"kyber768", "x25519"}, Target: 12, LowWater: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestFactoryRejectsUnknownSuiteAndDoubleStart(t *testing.T) {
 func TestFactoryConcurrentTakeRefillShutdown(t *testing.T) {
 	pool := NewKeyPool()
 	err := pool.StartFactory(FactoryOptions{
-		Suites: []string{"kyber512", "x25519"}, Target: 16, LowWater: 8, Batch: 4,
+		Suites: []string{"kyber512", "x25519"}, Target: 16, LowWater: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestCampaignDeterministicAcrossWorkersWithFactory(t *testing.T) {
 	pool := NewKeyPool()
 	err := pool.StartFactory(FactoryOptions{
 		Suites: []string{"x25519", "kyber512", "hqc128", "p256_kyber512"},
-		Target: 8, LowWater: 4, Batch: 4,
+		Target: 8, LowWater: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

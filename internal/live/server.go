@@ -92,14 +92,6 @@ type Options struct {
 	// full queue blocks the submitting connection goroutine — backpressure,
 	// not unbounded buffering.
 	SignQueue int
-	// EncapBatch, when positive, routes the handshake's KEM encapsulation
-	// through an EncapPool that collects up to this many concurrent
-	// encapsulations into one multi-sponge batch pass. 0 encapsulates
-	// inline on the connection goroutine.
-	EncapBatch int
-	// EncapWorkers sets the encap pool's worker count (0 = 2). Only
-	// meaningful with EncapBatch > 0.
-	EncapWorkers int
 	// WindowInterval, when > 0, additionally records every accept,
 	// completion, and failure into a windowed Timeline at this interval,
 	// stamped with wall-clock offsets from the runtime's start. The timeline
@@ -150,10 +142,6 @@ const (
 	MetricSignPoolSigns   = "pqtls_signpool_signs_total"
 	MetricSignPoolErrs    = "pqtls_signpool_errors_total"
 	MetricSignPoolDepth   = "pqtls_signpool_queue_depth"
-	MetricEncapPoolOps    = "pqtls_encappool_encaps_total"
-	MetricEncapPoolBatch  = "pqtls_encappool_batched_total"
-	MetricEncapPoolErrs   = "pqtls_encappool_errors_total"
-	MetricEncapPoolDepth  = "pqtls_encappool_queue_depth"
 )
 
 const handshakesHelp = "Handshake outcomes by result class (ok or a failure class)."
@@ -181,8 +169,7 @@ type Server struct {
 	draining      *obs.Gauge
 	hsDur         *obs.LatencyHistogram
 
-	signPool  *SignPool
-	encapPool *EncapPool
+	signPool *SignPool
 
 	metricsLn   net.Listener
 	httpSrv     *http.Server
@@ -211,15 +198,11 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 		// The shared store is what makes resumption work across
 		// connections: every per-connection Server seals and redeems
 		// through it.
-		if cfg.TicketKey != nil {
-			cfg.Tickets = tls13.NewTicketStore(*cfg.TicketKey)
-		} else {
-			store, err := tls13.NewRandomTicketStore()
-			if err != nil {
-				return nil, fmt.Errorf("live: ticket store: %w", err)
-			}
-			cfg.Tickets = store
+		store, err := tls13.NewRandomTicketStore()
+		if err != nil {
+			return nil, fmt.Errorf("live: ticket store: %w", err)
 		}
+		cfg.Tickets = store
 	}
 	reg := opts.Registry
 	if reg == nil {
@@ -237,28 +220,18 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 		signPool = NewSignPool(sig.NewSigner(scheme, cfg.PrivateKey), opts.SignWorkers, opts.SignQueue)
 		cfg.Signer = signPool
 	}
-	var encapPool *EncapPool
-	if opts.EncapBatch > 0 && cfg.Encapsulator == nil {
-		workers := opts.EncapWorkers
-		if workers <= 0 {
-			workers = 2
-		}
-		encapPool = NewEncapPool(workers, opts.EncapBatch, 0)
-		cfg.Encapsulator = encapPool
-	}
 	s := &Server{
-		ln:        ln,
-		opts:      opts,
-		cfg:       &cfg,
-		sem:       make(chan struct{}, opts.MaxConns),
-		shutdown:  make(chan struct{}),
-		loopDone:  make(chan struct{}),
-		conns:     make(map[net.Conn]struct{}),
-		failed:    make(map[string]*obs.Counter),
-		reg:       reg,
-		signPool:  signPool,
-		encapPool: encapPool,
-		start:     time.Now(),
+		ln:       ln,
+		opts:     opts,
+		cfg:      &cfg,
+		sem:      make(chan struct{}, opts.MaxConns),
+		shutdown: make(chan struct{}),
+		loopDone: make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
+		failed:   make(map[string]*obs.Counter),
+		reg:      reg,
+		signPool: signPool,
+		start:    time.Now(),
 	}
 	switch {
 	case opts.Timeline != nil:
@@ -290,16 +263,6 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 			func() uint64 { return signPool.Stats().Errors })
 		reg.GaugeFunc(MetricSignPoolDepth, "Signing jobs queued but not yet picked up by a worker.",
 			func() int64 { return int64(signPool.Stats().Depth) })
-	}
-	if encapPool != nil {
-		reg.CounterFunc(MetricEncapPoolOps, "KEM encapsulations produced by the encap pool.",
-			func() uint64 { return encapPool.Stats().Encaps })
-		reg.CounterFunc(MetricEncapPoolBatch, "Encapsulations that went through a batched multi-sponge call.",
-			func() uint64 { return encapPool.Stats().Batched })
-		reg.CounterFunc(MetricEncapPoolErrs, "Encap-pool errors propagated to handshakes.",
-			func() uint64 { return encapPool.Stats().Errors })
-		reg.GaugeFunc(MetricEncapPoolDepth, "Encapsulation jobs queued but not yet picked up by a worker.",
-			func() int64 { return int64(encapPool.Stats().Depth) })
 	}
 
 	if opts.MetricsAddr != "" {
@@ -560,9 +523,6 @@ func (s *Server) Shutdown(grace time.Duration) error {
 		// pool finishes whatever is still queued and its workers exit.
 		s.signPool.Close()
 	}
-	if s.encapPool != nil {
-		s.encapPool.Close()
-	}
 	if s.httpSrv != nil {
 		// Close the listener and wait for the Serve goroutine to return, so
 		// a Shutdown caller observes no runtime goroutines left behind.
@@ -579,13 +539,4 @@ func (s *Server) SignPoolStats() SignPoolStats {
 		return SignPoolStats{}
 	}
 	return s.signPool.Stats()
-}
-
-// EncapPoolStats returns the encap pool's counters, or a zero snapshot when
-// Options.EncapBatch was 0.
-func (s *Server) EncapPoolStats() EncapPoolStats {
-	if s.encapPool == nil {
-		return EncapPoolStats{}
-	}
-	return s.encapPool.Stats()
 }

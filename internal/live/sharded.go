@@ -29,7 +29,6 @@ type ShardedServer struct {
 	lns     []net.Listener
 	tickets *tls13.TicketStore
 	pool    *SignPool
-	encaps  *EncapPool
 	reg     *obs.Registry
 }
 
@@ -51,15 +50,11 @@ func ServeSharded(addr string, opts Options, shards int) (*ShardedServer, error)
 	// objects through a single config copy.
 	cfg := *opts.Config
 	if cfg.Tickets == nil {
-		if cfg.TicketKey != nil {
-			cfg.Tickets = tls13.NewTicketStore(*cfg.TicketKey)
-		} else {
-			store, err := tls13.NewRandomTicketStore()
-			if err != nil {
-				return nil, fmt.Errorf("live: ticket store: %w", err)
-			}
-			cfg.Tickets = store
+		store, err := tls13.NewRandomTicketStore()
+		if err != nil {
+			return nil, fmt.Errorf("live: ticket store: %w", err)
 		}
+		cfg.Tickets = store
 	}
 	reg := opts.Registry
 	if reg == nil {
@@ -75,18 +70,6 @@ func ServeSharded(addr string, opts Options, shards int) (*ShardedServer, error)
 		pool = NewSignPool(sig.NewSigner(scheme, cfg.PrivateKey), opts.SignWorkers, opts.SignQueue)
 		cfg.Signer = pool
 		opts.SignWorkers = 0 // shards must not build private pools
-	}
-	var encaps *EncapPool
-	if opts.EncapBatch > 0 {
-		workers := opts.EncapWorkers
-		if workers <= 0 {
-			workers = 2
-		}
-		// One shared pool, like the sign pool: batches gather across every
-		// shard's in-flight handshakes, not per accept queue.
-		encaps = NewEncapPool(workers, opts.EncapBatch, 0)
-		cfg.Encapsulator = encaps
-		opts.EncapBatch = 0 // shards must not build private pools
 	}
 	opts.Config = &cfg
 	if opts.Timeline == nil && opts.WindowInterval > 0 {
@@ -105,7 +88,7 @@ func ServeSharded(addr string, opts Options, shards int) (*ShardedServer, error)
 		perShard++
 	}
 
-	ss := &ShardedServer{lns: lns, tickets: cfg.Tickets, pool: pool, encaps: encaps, reg: reg}
+	ss := &ShardedServer{lns: lns, tickets: cfg.Tickets, pool: pool, reg: reg}
 	for i := 0; i < shards; i++ {
 		so := opts
 		so.MaxConns = perShard
@@ -192,15 +175,6 @@ func (ss *ShardedServer) SignPoolStats() SignPoolStats {
 	return ss.pool.Stats()
 }
 
-// EncapPoolStats returns the shared encap pool's counters, or a zero
-// snapshot when Options.EncapBatch was 0.
-func (ss *ShardedServer) EncapPoolStats() EncapPoolStats {
-	if ss.encaps == nil {
-		return EncapPoolStats{}
-	}
-	return ss.encaps.Stats()
-}
-
 // Counters returns the merged snapshot. The shards share one registry, so
 // every scalar is already the cross-shard total; only the lazily-registered
 // failure classes need a union, since each shard discovers classes
@@ -233,9 +207,6 @@ func (ss *ShardedServer) Shutdown(grace time.Duration) error {
 	// handshakes could sign during the drain; close it last.
 	if ss.pool != nil {
 		ss.pool.Close()
-	}
-	if ss.encaps != nil {
-		ss.encaps.Close()
 	}
 	return first
 }

@@ -49,7 +49,7 @@ func TestE2EPrecomputedFullHandshakes(t *testing.T) {
 	srv, cfg := startPQLive(t, 2)
 	pool := harness.NewKeyPool()
 	err := pool.StartFactory(harness.FactoryOptions{
-		Suites: []string{"kyber768"}, Target: 24, LowWater: 12, Batch: 8,
+		Suites: []string{"kyber768"}, Target: 24, LowWater: 12,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestE2EPrecomputedResumption(t *testing.T) {
 	srv, cfg := startPQLive(t, 2)
 	pool := harness.NewKeyPool()
 	err := pool.StartFactory(harness.FactoryOptions{
-		Suites: []string{"kyber768"}, Target: 16, LowWater: 8, Batch: 8,
+		Suites: []string{"kyber768"}, Target: 16, LowWater: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestE2EDrainMidRefill(t *testing.T) {
 	srv, cfg := startPQLive(t, 2)
 	pool := harness.NewKeyPool()
 	err := pool.StartFactory(harness.FactoryOptions{
-		Suites: []string{"kyber768"}, Target: 8, LowWater: 4, Batch: 4,
+		Suites: []string{"kyber768"}, Target: 8, LowWater: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

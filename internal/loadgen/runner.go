@@ -77,15 +77,6 @@ type Options struct {
 	// per-key verification setup — the steady-state of a client that keeps
 	// talking to one server. Modeled charges are unaffected.
 	Amortize bool
-	// VerifyPool, when non-nil, routes every connection's CertificateVerify
-	// check through a shared batching verification pool
-	// (tls13.Config.CVVerifier): in-flight checks against the same server
-	// key are collected and verified through one multi-sponge batch pass.
-	// The tls13 client ignores the hook when Config.Rand is set, so pooled
-	// results never feed DRBG-pinned handshakes. The caller owns the pool's
-	// lifecycle (Close after the run) and reads its Stats from the handle —
-	// the Result's canonical encoding is unchanged.
-	VerifyPool *VerifyPool
 	// Simulate replaces every real dial+handshake with a synthetic latency
 	// that is a pure function of (Schedule.Seed, sample index). The
 	// dispatch machinery — open-loop pacing, the concurrency limiter,
@@ -235,17 +226,12 @@ func RunWorkers(opts Options, workers int) (*Result, error) {
 		workers = n // fewer arrivals than dispatchers: shrink, don't idle
 	}
 
-	if (opts.Amortize || opts.VerifyPool != nil) && !opts.Simulate {
-		// One shared set of caches/pools for the whole pool: the
-		// per-connection shallow copies in oneHandshake all point at these.
+	if opts.Amortize && !opts.Simulate {
+		// One shared pair of caches for the whole pool: the per-connection
+		// shallow copies in oneHandshake all point at these.
 		cfg := *opts.Config
-		if opts.Amortize {
-			cfg.ChainCache = tls13.NewChainCache()
-			cfg.Verifiers = sig.NewVerifierCache(0)
-		}
-		if opts.VerifyPool != nil {
-			cfg.CVVerifier = opts.VerifyPool
-		}
+		cfg.ChainCache = tls13.NewChainCache()
+		cfg.Verifiers = sig.NewVerifierCache(0)
 		opts.Config = &cfg
 	}
 
@@ -325,15 +311,10 @@ func RunShard(opts Options, worker, stride int) (*Result, error) {
 	if worker < 0 || stride < 1 || worker >= stride {
 		return nil, fmt.Errorf("loadgen: RunShard(%d, %d): worker must be in [0, stride)", worker, stride)
 	}
-	if (opts.Amortize || opts.VerifyPool != nil) && !opts.Simulate {
+	if opts.Amortize && !opts.Simulate {
 		cfg := *opts.Config
-		if opts.Amortize {
-			cfg.ChainCache = tls13.NewChainCache()
-			cfg.Verifiers = sig.NewVerifierCache(0)
-		}
-		if opts.VerifyPool != nil {
-			cfg.CVVerifier = opts.VerifyPool
-		}
+		cfg.ChainCache = tls13.NewChainCache()
+		cfg.Verifiers = sig.NewVerifierCache(0)
 		opts.Config = &cfg
 	}
 	var sess *tls13.Session

@@ -233,7 +233,13 @@ func readBytes(r *bytes.Reader) ([]byte, error) {
 	return readN(r, int(b[0])<<16|int(b[1])<<8|int(b[2]))
 }
 
+// readN reads an n-byte field. The claimed length is checked against the
+// bytes left before anything is allocated, so a truncated certificate that
+// declares a 16 MiB field costs nothing.
 func readN(r *bytes.Reader, n int) ([]byte, error) {
+	if n > r.Len() {
+		return nil, fmt.Errorf("pki: truncated field: want %d bytes, %d left", n, r.Len())
+	}
 	out := make([]byte, n)
 	if _, err := io.ReadFull(r, out); err != nil {
 		return nil, fmt.Errorf("pki: truncated field: %w", err)

@@ -1,6 +1,8 @@
 package pki
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"pqtls/internal/sig"
@@ -120,6 +122,30 @@ func TestMarshalRoundtrip(t *testing.T) {
 	}
 	if _, err := Unmarshal(append(data, 0)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// A truncated certificate declaring a 16 MiB public key must fail without
+// allocating the declared length.
+func TestUnmarshalOversizedFieldTruncated(t *testing.T) {
+	var b bytes.Buffer
+	b.Write(make([]byte, 8)) // serial
+	for _, s := range []string{"leaf", "Test Root CA", "dilithium2", "rsa:2048"} {
+		writeStr(&b, s)
+	}
+	b.Write([]byte{0xFF, 0xFF, 0xFF}) // public key claims 2^24-1 bytes
+	b.Write([]byte{1, 2, 3, 4})       // ...but only four follow
+	data := b.Bytes()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated certificate with a 16 MiB field accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("Unmarshal allocated %d bytes for a %d-byte input", grew, len(data))
 	}
 }
 

@@ -457,12 +457,9 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 		endCrypto := c.cfg.span(LibCrypto)
 		content := certVerifyContent(c.ks.transcriptHash())
 		var okSig bool
-		switch {
-		case c.cfg.CVVerifier != nil && c.cfg.Rand == nil:
-			okSig = c.cfg.CVVerifier.VerifyCV(scheme, c.ServerCert.PublicKey, content, signature)
-		case c.cfg.Verifiers != nil:
+		if c.cfg.Verifiers != nil {
 			okSig = c.cfg.Verifiers.For(scheme, c.ServerCert.PublicKey).Verify(content, signature)
-		default:
+		} else {
 			okSig = scheme.Verify(c.ServerCert.PublicKey, content, signature)
 		}
 		c.cfg.charge(OpSigVerify, name)

@@ -5,7 +5,6 @@ import (
 	"time"
 	"unsafe"
 
-	"pqtls/internal/kem"
 	"pqtls/internal/pki"
 	"pqtls/internal/sig"
 )
@@ -110,14 +109,11 @@ type Config struct {
 	Meter Meter
 	// Rand overrides crypto/rand (tests).
 	Rand io.Reader
-	// TicketKey enables session tickets on a server; instances sharing the
-	// key can resume each other's sessions.
-	TicketKey *[16]byte
-	// Tickets, when non-nil, supplies the shared session-ticket store and
-	// takes precedence over TicketKey. Connection-scoped Server values built
-	// from the same Config all seal and redeem through this one store, which
-	// is what lets a ticket issued on one connection resume on another (see
-	// internal/live).
+	// Tickets, when non-nil, enables session tickets on a server and
+	// supplies the store that seals and redeems them. Connection-scoped
+	// Server values built from the same Config all share this one store,
+	// and stores built from the same key interoperate, which is what lets a
+	// ticket issued on one connection resume on another (see internal/live).
 	Tickets *TicketStore
 	// Session, when set on a client, resumes via PSK: the Certificate and
 	// CertificateVerify flights are skipped entirely.
@@ -145,48 +141,14 @@ type Config struct {
 	// an unchanged chain. All configs sharing a cache must share identical
 	// Roots and the modeled per-certificate verify costs are still charged.
 	ChainCache *ChainCache
-	// Encapsulator, when set on a server, performs the key-agreement
-	// encapsulation in place of a direct kem.Encapsulate call. This is the
-	// hook the live runtime's batching encapsulation pool installs to
-	// amortize Kyber's symmetric work across concurrent connections. Only
-	// consulted when Rand is nil: a DRBG-pinned handshake must consume its
-	// configured randomness stream exactly, and pooled results must never
-	// feed deterministic samples. The modeled encaps cost is charged either
-	// way.
-	Encapsulator Encapsulator
-	// CVVerifier, when set on a client, checks the CertificateVerify
-	// signature in place of the direct (cached) verify. This is the hook
-	// the loadgen verification pool installs to batch in-flight checks
-	// across connections. Only consulted when Rand is nil — the same bypass
-	// invariant as Encapsulator, keeping pooled paths out of DRBG-pinned
-	// runs. The modeled verify cost is charged either way.
-	CVVerifier CVVerifier
 
-	// certMsgCache and ticketCache memoize per-Config derived state (the
-	// marshaled Certificate message; the TicketStore behind a bare
-	// TicketKey). They are unsafe.Pointer instead of atomic.Pointer[T]
-	// because Config values are copied; see configcache.go.
+	// certMsgCache memoizes the marshaled Certificate message. It is an
+	// unsafe.Pointer instead of atomic.Pointer[T] because Config values are
+	// copied; see configcache.go.
 	certMsgCache unsafe.Pointer // *certMsgCache
-	ticketCache  unsafe.Pointer // *ticketStoreCache
 }
 
 // KeyShare is a pre-generated KEM key pair for PresetKeyShare.
 type KeyShare struct {
 	Pub, Priv []byte
-}
-
-// Encapsulator is the server-side encapsulation hook (see
-// Config.Encapsulator). Implementations may batch concurrent
-// encapsulations across connections; the result must be a valid
-// (ciphertext, shared secret) pair for pub under k, but need not consume
-// any particular randomness source.
-type Encapsulator interface {
-	Encapsulate(k kem.KEM, pub []byte) (ct, ss []byte, err error)
-}
-
-// CVVerifier is the client-side CertificateVerify hook (see
-// Config.CVVerifier). Implementations may batch concurrent verifications
-// across connections; the decision must equal scheme.Verify(pub, msg, sig).
-type CVVerifier interface {
-	VerifyCV(scheme sig.Scheme, pub, msg, sig []byte) bool
 }

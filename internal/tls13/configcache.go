@@ -7,16 +7,15 @@ import (
 	"pqtls/internal/pki"
 )
 
-// Per-Config caches for state that is identical on every handshake built
-// from the same Config: the marshaled Certificate message and the transient
-// TicketStore backing a bare TicketKey.
+// Per-Config cache for state that is identical on every handshake built
+// from the same Config: the marshaled Certificate message.
 //
-// The fields live on Config as plain unsafe.Pointer slots (see config.go)
+// The field lives on Config as a plain unsafe.Pointer slot (see config.go)
 // rather than atomic.Pointer[T] because Config is value-copied throughout
-// the codebase and atomic.Pointer's noCopy marker would trip vet. Each
-// cache entry records the identity of the input it was built from and is
-// rebuilt on mismatch, so a copied-then-mutated Config stays correct — it
-// just repopulates its own slot.
+// the codebase and atomic.Pointer's noCopy marker would trip vet. The cache
+// entry records the identity of the chain it was built from and is rebuilt
+// on mismatch, so a copied-then-mutated Config stays correct — it just
+// repopulates its own slot.
 
 // certMsgCache memoizes the marshaled Certificate message for a chain.
 type certMsgCache struct {
@@ -44,32 +43,4 @@ func (c *Config) certificateMessage() []byte {
 	entry := &certMsgCache{chain0: c.Chain[0], n: len(c.Chain), msg: marshalCertificate(raw)}
 	atomic.StorePointer(&c.certMsgCache, unsafe.Pointer(entry))
 	return entry.msg
-}
-
-// ticketStoreCache memoizes the transient store built from a bare TicketKey.
-type ticketStoreCache struct {
-	key   *[ticketKeySize]byte // identity of the TicketKey it was built from
-	store *TicketStore
-}
-
-// sessionTickets resolves the server's ticket machinery: the shared Tickets
-// store when configured, else a per-Config store over the legacy TicketKey,
-// else nil. The TicketKey store used to be rebuilt on every handshake, which
-// discarded its counters and paid an AEAD construction per connection; it is
-// now cached on the Config, so all handshakes from one Config share one
-// store (two racing first calls may transiently build two stores over the
-// same key — their tickets interoperate, and later calls converge).
-func (c *Config) sessionTickets() *TicketStore {
-	if c.Tickets != nil {
-		return c.Tickets
-	}
-	if c.TicketKey == nil {
-		return nil
-	}
-	if p := (*ticketStoreCache)(atomic.LoadPointer(&c.ticketCache)); p != nil && p.key == c.TicketKey {
-		return p.store
-	}
-	entry := &ticketStoreCache{key: c.TicketKey, store: NewTicketStore(*c.TicketKey)}
-	atomic.StorePointer(&c.ticketCache, unsafe.Pointer(entry))
-	return entry.store
 }

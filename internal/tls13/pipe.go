@@ -21,13 +21,17 @@ func WriteRecords(w io.Writer, records []Record) error {
 	return nil
 }
 
-// ReadRecord reads exactly one record from the stream.
+// ReadRecord reads exactly one record from the stream. A header declaring
+// more than 2^14+256 body bytes is rejected before anything is allocated.
 func ReadRecord(r io.Reader) (Record, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Record{}, fmt.Errorf("tls13: reading record header: %w", err)
 	}
 	n := int(binary.BigEndian.Uint16(hdr[3:]))
+	if n > maxRecordWire {
+		return Record{}, fmt.Errorf("tls13: record_overflow: record declares %d bytes, limit %d", n, maxRecordWire)
+	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Record{}, fmt.Errorf("tls13: reading record body: %w", err)

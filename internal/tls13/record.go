@@ -28,6 +28,11 @@ const legacyVersion = 0x0303
 // maxRecordPayload is the RFC 8446 plaintext limit per record.
 const maxRecordPayload = 16384
 
+// maxRecordWire is the largest record body a peer may declare: the
+// plaintext limit plus 256 bytes of AEAD expansion (RFC 8446 §5.2). A
+// longer length is a record_overflow.
+const maxRecordWire = maxRecordPayload + 256
+
 // Record is one TLS record (content type + payload, without the 5-byte
 // header).
 type Record struct {

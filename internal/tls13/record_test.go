@@ -2,6 +2,8 @@ package tls13
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 )
 
@@ -137,5 +139,28 @@ func TestSealScratchAliasing(t *testing.T) {
 	// The cloned copy must still decrypt.
 	if _, plain, err := receiver.open(Record{Type: RecordApplicationData, Payload: stable}); err != nil || string(plain) != "first" {
 		t.Fatalf("cloned payload failed to open: %v", err)
+	}
+}
+
+// TestReadRecordRejectsOverflow checks that ReadRecord refuses a header
+// declaring more than 2^14+256 body bytes instead of allocating it, and
+// still accepts a record of exactly the limit.
+func TestReadRecordRejectsOverflow(t *testing.T) {
+	hdr := []byte{RecordHandshake, 0x03, 0x03, 0, 0}
+	binary.BigEndian.PutUint16(hdr[3:], maxRecordWire+1)
+	if _, err := ReadRecord(bytes.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "record_overflow") {
+		t.Fatalf("oversized header: got %v, want a record_overflow error", err)
+	}
+	binary.BigEndian.PutUint16(hdr[3:], 0xFFFF)
+	if _, err := ReadRecord(bytes.NewReader(hdr)); err == nil {
+		t.Fatal("65535-byte header accepted")
+	}
+	ok := Record{Type: RecordApplicationData, Payload: make([]byte, maxRecordWire)}
+	rec, err := ReadRecord(bytes.NewReader(ok.Marshal()))
+	if err != nil {
+		t.Fatalf("record at the limit rejected: %v", err)
+	}
+	if len(rec.Payload) != maxRecordWire {
+		t.Fatalf("payload %d bytes, want %d", len(rec.Payload), maxRecordWire)
 	}
 }

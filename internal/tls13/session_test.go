@@ -29,13 +29,15 @@ func TestSessionResumption(t *testing.T) {
 	var ticketKey [16]byte
 	copy(ticketKey[:], "sixteen byte key")
 	cliCfg, srvCfg := testConfigs(t, "kyber512", "dilithium2", BufferImmediate)
-	srvCfg.TicketKey = &ticketKey
+	srvCfg.Tickets = NewTicketStore(ticketKey)
 
 	sess := fullHandshakeWithTicket(t, cliCfg, srvCfg)
 
 	// Resumed handshake: fresh endpoints, session attached.
+	// The resuming server builds its own store over the same key, as a
+	// separate server instance would; the ticket must still redeem.
 	cliCfg2, srvCfg2 := testConfigs(t, "kyber512", "dilithium2", BufferImmediate)
-	srvCfg2.TicketKey = &ticketKey
+	srvCfg2.Tickets = NewTicketStore(ticketKey)
 	cliCfg2.Session = sess
 	cli, err := NewClient(cliCfg2)
 	if err != nil {
@@ -90,11 +92,11 @@ func TestResumptionBadBinderRejected(t *testing.T) {
 	t.Parallel()
 	var ticketKey [16]byte
 	cliCfg, srvCfg := testConfigs(t, "x25519", "rsa:2048", BufferImmediate)
-	srvCfg.TicketKey = &ticketKey
+	srvCfg.Tickets = NewTicketStore(ticketKey)
 	sess := fullHandshakeWithTicket(t, cliCfg, srvCfg)
 
 	cliCfg2, srvCfg2 := testConfigs(t, "x25519", "rsa:2048", BufferImmediate)
-	srvCfg2.TicketKey = &ticketKey
+	srvCfg2.Tickets = NewTicketStore(ticketKey)
 	bad := *sess
 	bad.PSK = append([]byte{}, sess.PSK...)
 	bad.PSK[0] ^= 1 // wrong PSK -> wrong binder
@@ -110,17 +112,17 @@ func TestResumptionBadBinderRejected(t *testing.T) {
 	}
 }
 
-// A ticket sealed under a different server key must be rejected.
-func TestResumptionWrongTicketKey(t *testing.T) {
+// A ticket sealed by a store under a different server key must be rejected.
+func TestResumptionForeignTicketStore(t *testing.T) {
 	t.Parallel()
 	var keyA, keyB [16]byte
 	keyB[0] = 1
 	cliCfg, srvCfg := testConfigs(t, "x25519", "rsa:2048", BufferImmediate)
-	srvCfg.TicketKey = &keyA
+	srvCfg.Tickets = NewTicketStore(keyA)
 	sess := fullHandshakeWithTicket(t, cliCfg, srvCfg)
 
 	cliCfg2, srvCfg2 := testConfigs(t, "x25519", "rsa:2048", BufferImmediate)
-	srvCfg2.TicketKey = &keyB
+	srvCfg2.Tickets = NewTicketStore(keyB)
 	cliCfg2.Session = sess
 	cli, _ := NewClient(cliCfg2)
 	srv, _ := NewServer(srvCfg2)
@@ -136,11 +138,11 @@ func TestResumptionKEMBinding(t *testing.T) {
 	t.Parallel()
 	var ticketKey [16]byte
 	cliCfg, srvCfg := testConfigs(t, "x25519", "rsa:2048", BufferImmediate)
-	srvCfg.TicketKey = &ticketKey
+	srvCfg.Tickets = NewTicketStore(ticketKey)
 	sess := fullHandshakeWithTicket(t, cliCfg, srvCfg)
 
 	cliCfg2, srvCfg2 := testConfigs(t, "kyber512", "rsa:2048", BufferImmediate)
-	srvCfg2.TicketKey = &ticketKey
+	srvCfg2.Tickets = NewTicketStore(ticketKey)
 	cliCfg2.Session = sess
 	cli, _ := NewClient(cliCfg2)
 	srv, _ := NewServer(srvCfg2)

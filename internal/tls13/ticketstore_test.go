@@ -87,37 +87,3 @@ func TestTicketStoreNonceUnique(t *testing.T) {
 		}
 	}
 }
-
-// Config.sessionTickets with only TicketKey set must hand back one cached
-// store, not a fresh one per handshake — otherwise the per-handshake AEAD
-// setup recurs and issued/redeemed counters are silently discarded.
-func TestSessionTicketsCachedPerConfig(t *testing.T) {
-	t.Parallel()
-	key := &[ticketKeySize]byte{9}
-	cfg := &Config{TicketKey: key}
-	s1 := cfg.sessionTickets()
-	s2 := cfg.sessionTickets()
-	if s1 == nil || s1 != s2 {
-		t.Fatal("sessionTickets rebuilt the TicketKey store")
-	}
-	if _, err := s1.Seal(bytes.Repeat([]byte{1}, 32), "kyber768"); err != nil {
-		t.Fatal(err)
-	}
-	if st := cfg.sessionTickets().Stats(); st.Issued != 1 {
-		t.Errorf("issued = %d, want 1 (counters discarded by a transient store)", st.Issued)
-	}
-
-	// Swapping the key pointer invalidates the cache entry.
-	cfg.TicketKey = &[ticketKeySize]byte{10}
-	s3 := cfg.sessionTickets()
-	if s3 == s1 {
-		t.Error("stale store returned after TicketKey change")
-	}
-
-	// An explicit Tickets store always wins.
-	shared := NewTicketStore([ticketKeySize]byte{11})
-	cfg.Tickets = shared
-	if cfg.sessionTickets() != shared {
-		t.Error("explicit Tickets store not preferred")
-	}
-}
