@@ -226,33 +226,8 @@ func hookedHandshake(creds *harness.Credentials, cliHooks, srvHooks tls13.Hooks)
 		Roots: creds.Roots,
 		Hooks: cliHooks,
 	}
-	cli, err := pqtls.NewClient(cliCfg)
-	if err != nil {
-		return err
-	}
-	srv, err := pqtls.NewServer(srvCfg)
-	if err != nil {
-		return err
-	}
-	ch, err := cli.Start()
-	if err != nil {
-		return err
-	}
-	flushes, err := srv.Respond(ch)
-	if err != nil {
-		return err
-	}
-	var final []pqtls.Record
-	for _, f := range flushes {
-		out, done, err := cli.Consume(f.Records)
-		if err != nil {
-			return err
-		}
-		if done {
-			final = out
-		}
-	}
-	return srv.Finish(final)
+	_, _, err := pqtls.InMemoryHandshake(cliCfg, srvCfg)
+	return err
 }
 
 func tracedPair() (tls13.Hooks, tls13.Hooks) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,10 +47,15 @@ type liveResult struct {
 	Failed           int     `json:"failed"`
 }
 
-// benchFile is the full BENCH_*.json document.
+// benchFile is the full BENCH_*.json document. The host fields say which
+// machine measured it: ns/op only compares within one host. Files written
+// before they existed load with them zero.
 type benchFile struct {
 	Schema     string                 `json:"schema"`
 	Go         string                 `json:"go"`
+	NProc      int                    `json:"nproc,omitempty"`
+	GOMAXPROCS int                    `json:"gomaxprocs,omitempty"`
+	CPU        string                 `json:"cpu,omitempty"`
 	Short      bool                   `json:"short"`
 	Benchmarks map[string]benchResult `json:"benchmarks"`
 	Live       map[string]liveResult  `json:"live,omitempty"`
@@ -350,39 +356,14 @@ func handshakeBench(kemName, sigName string) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			srv, err := pqtls.NewServer(&pqtls.Config{
+			_, _, err := pqtls.InMemoryHandshake(&pqtls.Config{
+				KEMName: kemName, SigName: sigName, ServerName: "server.example",
+				Roots: creds.Roots,
+			}, &pqtls.Config{
 				KEMName: kemName, SigName: sigName, ServerName: "server.example",
 				Chain: creds.Chain, PrivateKey: creds.Priv,
 			})
 			if err != nil {
-				b.Fatal(err)
-			}
-			cli, err := pqtls.NewClient(&pqtls.Config{
-				KEMName: kemName, SigName: sigName, ServerName: "server.example",
-				Roots: creds.Roots,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ch, err := cli.Start()
-			if err != nil {
-				b.Fatal(err)
-			}
-			flushes, err := srv.Respond(ch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var final []pqtls.Record
-			for _, f := range flushes {
-				out, done, err := cli.Consume(f.Records)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if done {
-					final = out
-				}
-			}
-			if err := srv.Finish(final); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -419,6 +400,9 @@ func runMicrobench(args []string) error {
 	doc := benchFile{
 		Schema:     benchSchema,
 		Go:         runtime.Version(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPU:        cpuModel(),
 		Short:      *short,
 		Benchmarks: map[string]benchResult{},
 	}
@@ -594,6 +578,11 @@ func runBenchGate(args []string) error {
 		return err
 	}
 
+	if oldDoc.host() != newDoc.host() {
+		fmt.Printf("warn baseline host (%s) differs from %s; ns/op deltas compare different machines\n",
+			oldDoc.host(), newDoc.host())
+	}
+
 	names := make([]string, 0, len(oldDoc.Benchmarks))
 	for name := range oldDoc.Benchmarks {
 		names = append(names, name)
@@ -644,6 +633,29 @@ func runBenchGate(args []string) error {
 	}
 	fmt.Printf("benchgate: %d kernels within limits vs %s\n", len(names), *oldPath)
 	return nil
+}
+
+// host names the machine and toolchain a bench file was measured on.
+func (d *benchFile) host() string {
+	if d.NProc == 0 {
+		return "host not recorded, " + d.Go
+	}
+	return fmt.Sprintf("nproc %d, GOMAXPROCS %d, cpu %q, %s", d.NProc, d.GOMAXPROCS, d.CPU, d.Go)
+}
+
+// cpuModel reads the CPU model name from /proc/cpuinfo ("" where there is
+// none).
+func cpuModel() string {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 func readBenchFile(path string) (*benchFile, error) {

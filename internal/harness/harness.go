@@ -463,33 +463,8 @@ var resumptionTickets = tls13.NewTicketStore([16]byte{'p', 'q', 't', 'l', 's', '
 
 // obtainSession runs one un-simulated full handshake to get a ticket.
 func obtainSession(cliCfg, srvCfg *tls13.Config) (*tls13.Session, error) {
-	cli, err := tls13.NewClient(cliCfg)
+	cli, srv, err := tls13.InMemoryHandshake(cliCfg, srvCfg)
 	if err != nil {
-		return nil, err
-	}
-	srv, err := tls13.NewServer(srvCfg)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := cli.Start()
-	if err != nil {
-		return nil, err
-	}
-	flushes, err := srv.Respond(ch)
-	if err != nil {
-		return nil, err
-	}
-	var final []tls13.Record
-	for _, f := range flushes {
-		out, done, err := cli.Consume(f.Records)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			final = out
-		}
-	}
-	if err := srv.Finish(final); err != nil {
 		return nil, err
 	}
 	flight, _, err := srv.SessionTicket()

@@ -160,3 +160,26 @@ func TestEncodingOverhead(t *testing.T) {
 		t.Errorf("encoding overhead %d bytes, want <= 120", overhead)
 	}
 }
+
+// FuzzUnmarshal feeds peer-controlled certificate bytes to Unmarshal. It
+// must never panic, and the encoding is canonical: an accepted certificate
+// marshals back to exactly the input.
+func FuzzUnmarshal(f *testing.F) {
+	cert := &Certificate{Serial: 2, Subject: "server.example", Issuer: "Test Root CA",
+		Algorithm: "dilithium2", SigAlg: "rsa:2048",
+		PublicKey: bytes.Repeat([]byte{1}, 40), Signature: bytes.Repeat([]byte{2}, 32)}
+	valid := cert.Marshal()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(bytes.Clone(valid[:60]), 0xFF, 0xFF, 0xFF))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(c.Marshal(), data) {
+			t.Fatalf("accepted certificate does not re-marshal to its input")
+		}
+	})
+}

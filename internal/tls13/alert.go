@@ -2,6 +2,7 @@ package tls13
 
 import (
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -10,6 +11,7 @@ const (
 	AlertCloseNotify       uint8 = 0
 	AlertUnexpectedMessage uint8 = 10
 	AlertBadRecordMAC      uint8 = 20
+	AlertRecordOverflow    uint8 = 22
 	AlertHandshakeFailure  uint8 = 40
 	AlertBadCertificate    uint8 = 42
 	AlertUnknownCA         uint8 = 48
@@ -24,6 +26,7 @@ var alertNames = map[uint8]string{
 	AlertCloseNotify:       "close_notify",
 	AlertUnexpectedMessage: "unexpected_message",
 	AlertBadRecordMAC:      "bad_record_mac",
+	AlertRecordOverflow:    "record_overflow",
 	AlertHandshakeFailure:  "handshake_failure",
 	AlertBadCertificate:    "bad_certificate",
 	AlertUnknownCA:         "unknown_ca",
@@ -70,9 +73,13 @@ func alertFor(err error) uint8 {
 	}
 	msg := err.Error()
 	switch {
+	case contains(msg, "record_overflow"):
+		return AlertRecordOverflow
 	case contains(msg, "certificate"):
 		return AlertBadCertificate
-	case contains(msg, "decryption failed"), contains(msg, "Finished verification"):
+	case contains(msg, "record decryption failed"):
+		return AlertBadRecordMAC
+	case contains(msg, "Finished verification"):
 		return AlertDecryptError
 	case contains(msg, "group"), contains(msg, "sigalg"), contains(msg, "suite"):
 		return AlertHandshakeFailure
@@ -80,6 +87,15 @@ func alertFor(err error) uint8 {
 		return AlertUnexpectedMessage
 	default:
 		return AlertInternalError
+	}
+}
+
+// sendAlert writes the fatal alert for a local handshake failure. A failure
+// that is itself the peer's alert is not answered. The write is best effort:
+// the handshake has failed either way.
+func sendAlert(w io.Writer, err error) {
+	if _, remote := err.(*AlertError); !remote {
+		WriteRecords(w, []Record{FatalAlert(alertFor(err))})
 	}
 }
 

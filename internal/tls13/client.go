@@ -33,8 +33,7 @@ type Client struct {
 	recvHC *halfConn // server handshake traffic
 
 	state      clientState
-	buf        []byte // decrypted, unparsed handshake bytes
-	rawBuf     []byte // plaintext record bytes before ServerHello completes
+	in         reassembler // server handshake messages
 	retryOut   []Record
 	retryGroup uint16
 	resuming   bool
@@ -64,7 +63,7 @@ func NewClient(cfg *Config) (*Client, error) {
 	if cfg.Roots == nil {
 		return nil, errors.New("tls13: client requires a root pool")
 	}
-	return &Client{cfg: cfg, kem: k, ks: newKeySchedule()}, nil
+	return &Client{cfg: cfg, kem: k, ks: newKeySchedule(), in: reassembler{limit: serverMessageLimit()}}, nil
 }
 
 // Start generates the key share and returns the ClientHello flight.
@@ -213,8 +212,7 @@ func (c *Client) Consume(records []Record) (out []Record, done bool, err error) 
 			if c.state != stateAwaitSH {
 				return nil, false, errors.New("tls13: unexpected plaintext handshake record")
 			}
-			c.rawBuf = append(c.rawBuf, rec.Payload...)
-			if err := c.tryProcessServerHello(); err != nil {
+			if err := c.readMessages(rec.Payload); err != nil {
 				return nil, false, err
 			}
 		case RecordApplicationData:
@@ -232,8 +230,7 @@ func (c *Client) Consume(records []Record) (out []Record, done bool, err error) 
 			if innerType != RecordHandshake {
 				return nil, false, fmt.Errorf("tls13: unexpected inner type %d", innerType)
 			}
-			c.buf = append(c.buf, plaintext...)
-			if err := c.drainMessages(); err != nil {
+			if err := c.readMessages(plaintext); err != nil {
 				return nil, false, err
 			}
 		default:
@@ -252,27 +249,34 @@ func (c *Client) Consume(records []Record) (out []Record, done bool, err error) 
 	return nil, false, nil
 }
 
-// tryProcessServerHello parses the SH once fully buffered and runs the
-// decapsulation + key derivation. On a HelloRetryRequest it prepares the
-// retry flight in c.retryOut instead.
-func (c *Client) tryProcessServerHello() error {
-	if len(c.rawBuf) < 4 {
-		return nil
+// readMessages pushes one record's handshake bytes through the reassembler
+// and handles every message they complete.
+func (c *Client) readMessages(payload []byte) error {
+	if err := c.in.push(payload); err != nil {
+		return err
 	}
-	n := int(c.rawBuf[1])<<16 | int(c.rawBuf[2])<<8 | int(c.rawBuf[3])
-	if len(c.rawBuf) < 4+n {
-		return nil // wait for more bytes
+	for {
+		typ, body, full, err := c.in.next()
+		if err != nil || full == nil {
+			return err
+		}
+		if err := c.handleMessage(typ, body, full); err != nil {
+			return err
+		}
+	}
+}
+
+// serverHello runs the decapsulation and key derivation for a ServerHello.
+// On a HelloRetryRequest it prepares the retry flight in c.retryOut instead.
+func (c *Client) serverHello(typ uint8, body, full []byte) error {
+	if err := c.in.keyChange(); err != nil {
+		return err
 	}
 	// Error paths below abandon the open phase: the handshake (and with it
 	// the trace) is discarded on error, and Hooks implementations tolerate
 	// unclosed spans.
 	endPhase := c.cfg.phase(PhaseServerHello)
 	endSSL := c.cfg.span(LibSSL)
-	typ, body, rest, err := parseHandshakeMsg(c.rawBuf)
-	if err != nil {
-		endSSL()
-		return err
-	}
 	if typ != typeServerHello {
 		endSSL()
 		return fmt.Errorf("tls13: expected ServerHello, got type %d", typ)
@@ -283,8 +287,6 @@ func (c *Client) tryProcessServerHello() error {
 			endSSL()
 			return err
 		}
-		full := c.rawBuf[:4+n]
-		c.rawBuf = rest
 		endSSL()
 		endPhase()
 		out, err := c.retryHello(full, group)
@@ -307,8 +309,7 @@ func (c *Client) tryProcessServerHello() error {
 		endSSL()
 		return fmt.Errorf("tls13: server selected group %#04x, want %#04x", sh.group, wantGroup)
 	}
-	c.ks.addMessage(c.rawBuf[:4+n])
-	c.rawBuf = rest
+	c.ks.addMessage(full)
 	endSSL()
 	endPhase()
 
@@ -344,31 +345,11 @@ func (c *Client) tryProcessServerHello() error {
 	return nil
 }
 
-// drainMessages parses complete handshake messages from the decrypted
-// buffer and advances the state machine.
-func (c *Client) drainMessages() error {
-	for {
-		if len(c.buf) < 4 {
-			return nil
-		}
-		n := int(c.buf[1])<<16 | int(c.buf[2])<<8 | int(c.buf[3])
-		if len(c.buf) < 4+n {
-			return nil
-		}
-		msg := c.buf[:4+n]
-		typ, body, _, err := parseHandshakeMsg(msg)
-		if err != nil {
-			return err
-		}
-		if err := c.handleMessage(typ, body, msg); err != nil {
-			return err
-		}
-		c.buf = c.buf[4+n:]
-	}
-}
-
 func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 	switch c.state {
+	case stateAwaitSH:
+		return c.serverHello(typ, body, full)
+
 	case stateAwaitEE:
 		if typ != typeEncryptedExts {
 			return fmt.Errorf("tls13: expected EncryptedExtensions, got type %d", typ)
@@ -474,6 +455,9 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 	case stateAwaitFin:
 		if typ != typeFinished {
 			return fmt.Errorf("tls13: expected Finished, got type %d", typ)
+		}
+		if err := c.in.keyChange(); err != nil {
+			return err
 		}
 		defer c.cfg.phase(PhaseFinVerify)()
 		endCrypto := c.cfg.span(LibCrypto)

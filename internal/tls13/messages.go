@@ -42,18 +42,6 @@ func handshakeMsg(typ uint8, body []byte) []byte {
 	return out
 }
 
-// parseHandshakeMsg splits one handshake message off buf.
-func parseHandshakeMsg(buf []byte) (typ uint8, body, rest []byte, err error) {
-	if len(buf) < 4 {
-		return 0, nil, buf, errors.New("tls13: short handshake message")
-	}
-	n := int(buf[1])<<16 | int(buf[2])<<8 | int(buf[3])
-	if len(buf) < 4+n {
-		return 0, nil, buf, errors.New("tls13: truncated handshake message")
-	}
-	return buf[0], buf[4 : 4+n], buf[4+n:], nil
-}
-
 // clientHello is the subset of ClientHello this stack negotiates.
 type clientHello struct {
 	random     [32]byte

@@ -6,10 +6,11 @@ import (
 	"io"
 )
 
-// This file adapts the sans-IO state machines to real byte streams
-// (net.Conn, net.Pipe), the mode used by the cmd/ binaries and integration
-// tests. The measurement harness drives the state machines directly through
-// the discrete-event simulation instead.
+// This file drives the sans-IO state machines end to end: over real byte
+// streams (net.Conn, net.Pipe), the mode used by the cmd/ binaries and
+// integration tests, and in memory with no transport at all. The
+// measurement harness drives the state machines directly through the
+// discrete-event simulation instead.
 
 // WriteRecords marshals records to the stream.
 func WriteRecords(w io.Writer, records []Record) error {
@@ -53,123 +54,92 @@ func ClientHandshake(conn io.ReadWriter, cfg *Config) (*Client, error) {
 	if err := WriteRecords(conn, flight); err != nil {
 		return nil, err
 	}
-	for {
+	for !c.done {
 		rec, err := ReadRecord(conn)
-		if err != nil {
-			return nil, err
-		}
-		out, done, err := c.Consume([]Record{rec})
-		if err != nil {
-			if _, isAlert := err.(*AlertError); !isAlert {
-				// Send the alert without blocking the error return: on an
-				// unbuffered transport (net.Pipe) the peer may still be
-				// mid-flight and not yet reading.
-				alert := FatalAlert(alertFor(err))
-				go WriteRecords(conn, []Record{alert})
-			}
-			return nil, err
-		}
-		if len(out) > 0 {
+		if err == nil {
 			// Either the final flight or a HelloRetryRequest retry.
-			if err := WriteRecords(conn, out); err != nil {
-				return nil, err
-			}
+			flight, _, err = c.Consume([]Record{rec})
 		}
-		if done {
-			c.done = true
-			return c, nil
+		if err == nil {
+			err = WriteRecords(conn, flight)
+		}
+		if err != nil {
+			// Send the alert without blocking the error return: on an
+			// unbuffered transport (net.Pipe) the peer may still be
+			// mid-flight and not yet reading.
+			go sendAlert(conn, err)
+			return nil, err
 		}
 	}
+	return c, nil
 }
 
-// ServerHandshake performs a full server handshake over conn.
+// ServerHandshake performs a full server handshake over conn: one loop
+// reads client records until the client Finished verifies, answering each
+// ClientHello (the first, and the retry after a HelloRetryRequest) as it
+// completes. On a local failure a fatal alert is sent before returning the
+// error.
 func ServerHandshake(conn io.ReadWriter, cfg *Config) (*Server, error) {
 	s, err := NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Read the ClientHello (may span multiple handshake records).
-	var chRecords []Record
-	for {
+	for !s.done {
 		rec, err := ReadRecord(conn)
-		if err != nil {
-			return nil, err
-		}
-		if rec.Type != RecordHandshake {
-			return nil, fmt.Errorf("tls13: expected handshake record, got type %d", rec.Type)
-		}
-		chRecords = append(chRecords, rec)
-		if completeHandshakeMessage(chRecords) {
-			break
-		}
-	}
-	flushes, err := s.Respond(chRecords)
-	if err != nil {
-		WriteRecords(conn, []Record{FatalAlert(alertFor(err))})
-		return nil, err
-	}
-	for _, f := range flushes {
-		if err := WriteRecords(conn, f.Records); err != nil {
-			return nil, err
-		}
-	}
-	if s.hrrSent && len(flushes) == 1 {
-		// HelloRetryRequest sent; read the retried ClientHello and respond
-		// again.
-		chRecords = chRecords[:0]
-		for {
-			rec, err := ReadRecord(conn)
-			if err != nil {
-				return nil, err
-			}
-			if rec.Type != RecordHandshake {
-				return nil, fmt.Errorf("tls13: expected retried ClientHello, got type %d", rec.Type)
-			}
-			chRecords = append(chRecords, rec)
-			if completeHandshakeMessage(chRecords) {
-				break
-			}
-		}
-		flushes, err = s.Respond(chRecords)
-		if err != nil {
-			return nil, err
+		var flushes []Flush
+		if err == nil {
+			flushes, err = s.consume(rec)
 		}
 		for _, f := range flushes {
-			if err := WriteRecords(conn, f.Records); err != nil {
-				return nil, err
+			if err == nil {
+				err = WriteRecords(conn, f.Records)
 			}
 		}
-	}
-	// Read the client's CCS + Finished.
-	var clientFlight []Record
-	for {
-		rec, err := ReadRecord(conn)
 		if err != nil {
+			// The client writes a flight, then reads: the alert goes out
+			// before the connection closes.
+			sendAlert(conn, err)
 			return nil, err
 		}
-		clientFlight = append(clientFlight, rec)
-		if rec.Type == RecordApplicationData || rec.Type == RecordAlert {
-			break
-		}
-	}
-	if err := s.Finish(clientFlight); err != nil {
-		return nil, err
 	}
 	return s, nil
 }
 
-// completeHandshakeMessage reports whether the concatenated handshake
-// records contain at least one complete message.
-func completeHandshakeMessage(records []Record) bool {
-	var total, want int
-	for i, rec := range records {
-		if i == 0 {
-			if len(rec.Payload) < 4 {
-				return false
-			}
-			want = 4 + (int(rec.Payload[1])<<16 | int(rec.Payload[2])<<8 | int(rec.Payload[3]))
-		}
-		total += len(rec.Payload)
+// InMemoryHandshake runs a complete handshake between a new client and a new
+// server with no transport: the client's flight goes to Respond, every
+// server flush to Consume in order, and the final flight to Finish. A
+// HelloRetryRequest round is followed the same way.
+func InMemoryHandshake(clientCfg, serverCfg *Config) (*Client, *Server, error) {
+	cli, err := NewClient(clientCfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	return total >= want
+	srv, err := NewServer(serverCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	flight, err := cli.Start()
+	if err != nil {
+		return nil, nil, err
+	}
+	for !cli.Done() {
+		flushes, err := srv.Respond(flight)
+		if err != nil {
+			return nil, nil, err
+		}
+		flight = nil
+		for _, f := range flushes {
+			out, _, err := cli.Consume(f.Records)
+			if err != nil {
+				return nil, nil, err
+			}
+			if out != nil {
+				flight = out
+			}
+		}
+	}
+	if err := srv.Finish(flight); err != nil {
+		return nil, nil, err
+	}
+	return cli, srv, nil
 }

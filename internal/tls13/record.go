@@ -62,22 +62,6 @@ func WireSize(records []Record) int {
 	return n
 }
 
-// ParseRecord reads one record from buf, returning the remainder.
-func ParseRecord(buf []byte) (Record, []byte, error) {
-	if len(buf) < 5 {
-		return Record{}, buf, errShortRecord
-	}
-	n := int(binary.BigEndian.Uint16(buf[3:]))
-	if len(buf) < 5+n {
-		return Record{}, buf, errShortRecord
-	}
-	payload := make([]byte, n)
-	copy(payload, buf[5:5+n])
-	return Record{Type: buf[0], Payload: payload}, buf[5+n:], nil
-}
-
-var errShortRecord = errors.New("tls13: short record")
-
 // halfConn is one direction of record protection (AES-128-GCM per the
 // negotiated TLS_AES_128_GCM_SHA256 suite).
 //

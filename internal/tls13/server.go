@@ -32,6 +32,8 @@ type Server struct {
 	sendHC *halfConn // server handshake traffic (server -> client)
 	recvHC *halfConn // client handshake traffic (client -> server)
 
+	in                reassembler // client handshake messages
+	answered          bool        // the server flight is out; the client Finished is next
 	expectedClientFin [32]byte
 	resumptionPSK     []byte
 	hrrSent           bool
@@ -51,7 +53,7 @@ func NewServer(cfg *Config) (*Server, error) {
 	if len(cfg.Chain) == 0 || cfg.PrivateKey == nil {
 		return nil, errors.New("tls13: server requires a certificate chain and private key")
 	}
-	return &Server{cfg: cfg, kem: k, scheme: s, ks: newKeySchedule()}, nil
+	return &Server{cfg: cfg, kem: k, scheme: s, ks: newKeySchedule(), in: reassembler{limit: clientHelloLimit()}}, nil
 }
 
 // timedRecord is a record plus the compute offset at which it was ready.
@@ -61,11 +63,75 @@ type timedRecord struct {
 }
 
 // Respond consumes the ClientHello flight and produces the server's flight,
-// grouped into flushes per the configured BufferPolicy.
+// grouped into flushes per the configured BufferPolicy. After a
+// HelloRetryRequest flight it is called again with the retried ClientHello.
 func (s *Server) Respond(records []Record) ([]Flush, error) {
-	if s.ks == nil {
-		return nil, errors.New("tls13: Respond called twice")
+	if s.answered {
+		return nil, errors.New("tls13: Respond called after the server flight")
 	}
+	for i, rec := range records {
+		flushes, err := s.consume(rec)
+		if err != nil {
+			return nil, err
+		}
+		if flushes != nil {
+			if i != len(records)-1 {
+				return nil, errors.New("tls13: unexpected records after ClientHello")
+			}
+			return flushes, nil
+		}
+	}
+	return nil, errors.New("tls13: incomplete ClientHello flight")
+}
+
+// Finish consumes the client's ChangeCipherSpec + Finished flight.
+func (s *Server) Finish(records []Record) error {
+	if !s.answered || s.done {
+		return errors.New("tls13: Finish outside the client's final flight")
+	}
+	for _, rec := range records {
+		if _, err := s.consume(rec); err != nil {
+			return err
+		}
+	}
+	if !s.done {
+		return errors.New("tls13: client flight missing Finished")
+	}
+	return nil
+}
+
+// consume feeds one client record to the handshake. It returns the server's
+// flight once a ClientHello completes, and sets done once the client
+// Finished verifies.
+func (s *Server) consume(rec Record) ([]Flush, error) {
+	switch {
+	case s.done:
+		return nil, errors.New("tls13: handshake already complete")
+	case rec.Type == RecordChangeCipherSpec:
+		return nil, nil
+	case rec.Type == RecordAlert:
+		return nil, parseAlert(rec)
+	case rec.Type == RecordHandshake && !s.answered:
+		if err := s.in.push(rec.Payload); err != nil {
+			return nil, err
+		}
+		typ, body, full, err := s.in.next()
+		if err != nil || full == nil {
+			return nil, err
+		}
+		if err := s.in.keyChange(); err != nil {
+			return nil, err
+		}
+		return s.respond(typ, body, full)
+	case rec.Type == RecordApplicationData && s.answered:
+		return nil, s.clientFinished(rec)
+	default:
+		return nil, fmt.Errorf("tls13: unexpected record type %d in client flight", rec.Type)
+	}
+}
+
+// respond answers one ClientHello message.
+func (s *Server) respond(typ uint8, body, chMsg []byte) ([]Flush, error) {
 	start := s.cfg.now()
 	rng := s.cfg.Rand
 	if rng == nil {
@@ -76,18 +142,6 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	// discarded on error, and Hooks implementations tolerate unclosed spans.
 	endPhase := s.cfg.phase(PhaseCHParse)
 	endSSL := s.cfg.span(LibSSL)
-	var chMsg []byte
-	for _, rec := range records {
-		if rec.Type != RecordHandshake {
-			continue
-		}
-		chMsg = append(chMsg, rec.Payload...)
-	}
-	typ, body, _, err := parseHandshakeMsg(chMsg)
-	if err != nil {
-		endSSL()
-		return nil, err
-	}
 	if typ != typeClientHello {
 		endSSL()
 		return nil, fmt.Errorf("tls13: expected ClientHello, got message type %d", typ)
@@ -307,6 +361,7 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	}
 	endPhase()
 
+	s.answered = true
 	return s.groupFlushes(timed), nil
 }
 
@@ -411,48 +466,38 @@ func groupDefault(timed []timedRecord) []Flush {
 	return flushes
 }
 
-// Finish consumes the client's ChangeCipherSpec + Finished flight.
-func (s *Server) Finish(records []Record) error {
-	if s.done {
-		return errors.New("tls13: handshake already complete")
-	}
+// clientFinished opens one protected client record and verifies the
+// Finished it completes.
+func (s *Server) clientFinished(rec Record) error {
 	defer s.cfg.phase(PhaseFinVerify)()
-	for _, rec := range records {
-		switch rec.Type {
-		case RecordChangeCipherSpec:
-			continue
-		case RecordAlert:
-			return parseAlert(rec)
-		case RecordApplicationData:
-			endRead := s.cfg.phase(PhaseRecordRead)
-			endCrypto := s.cfg.span(LibCrypto)
-			innerType, plaintext, err := s.recvHC.open(rec)
-			endCrypto()
-			endRead()
-			if err != nil {
-				return err
-			}
-			if innerType != RecordHandshake {
-				return fmt.Errorf("tls13: unexpected inner type %d in client flight", innerType)
-			}
-			typ, body, _, err := parseHandshakeMsg(plaintext)
-			if err != nil {
-				return err
-			}
-			if typ != typeFinished {
-				return fmt.Errorf("tls13: expected client Finished, got type %d", typ)
-			}
-			if !hmac.Equal(body, s.expectedClientFin[:]) {
-				return errors.New("tls13: client Finished verification failed")
-			}
-			s.done = true
-		default:
-			return fmt.Errorf("tls13: unexpected record type %d in client flight", rec.Type)
-		}
+	endRead := s.cfg.phase(PhaseRecordRead)
+	endCrypto := s.cfg.span(LibCrypto)
+	innerType, plaintext, err := s.recvHC.open(rec)
+	endCrypto()
+	endRead()
+	if err != nil {
+		return err
 	}
-	if !s.done {
-		return errors.New("tls13: client flight missing Finished")
+	if innerType != RecordHandshake {
+		return fmt.Errorf("tls13: unexpected inner type %d in client flight", innerType)
 	}
+	if err := s.in.push(plaintext); err != nil {
+		return err
+	}
+	typ, body, full, err := s.in.next()
+	if err != nil || full == nil {
+		return err
+	}
+	if typ != typeFinished {
+		return fmt.Errorf("tls13: expected client Finished, got type %d", typ)
+	}
+	if err := s.in.keyChange(); err != nil {
+		return err
+	}
+	if !hmac.Equal(body, s.expectedClientFin[:]) {
+		return errors.New("tls13: client Finished verification failed")
+	}
+	s.done = true
 	return nil
 }
 

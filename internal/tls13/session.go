@@ -93,6 +93,7 @@ func (c *Client) ProcessTicket(records []Record) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	in := reassembler{limit: serverMessageLimit()}
 	for _, rec := range records {
 		innerType, plaintext, err := hc.open(rec)
 		if err != nil {
@@ -101,36 +102,44 @@ func (c *Client) ProcessTicket(records []Record) (*Session, error) {
 		if innerType != RecordHandshake {
 			continue
 		}
-		typ, body, _, err := parseHandshakeMsg(plaintext)
-		if err != nil {
+		if err := in.push(plaintext); err != nil {
 			return nil, err
 		}
-		if typ != typeNewSessionTicket {
-			continue
+		for {
+			typ, body, full, err := in.next()
+			if err != nil {
+				return nil, err
+			}
+			if full == nil {
+				break
+			}
+			if typ != typeNewSessionTicket {
+				continue
+			}
+			r := bytes.NewReader(body)
+			if _, err := readN(r, 8); err != nil { // lifetime + age_add
+				return nil, err
+			}
+			nonceLen, err := r.ReadByte()
+			if err != nil {
+				return nil, err
+			}
+			nonce, err := readN(r, int(nonceLen))
+			if err != nil {
+				return nil, err
+			}
+			tktLen, err := readU16(r)
+			if err != nil {
+				return nil, err
+			}
+			ticket, err := readN(r, int(tktLen))
+			if err != nil {
+				return nil, err
+			}
+			resMaster := deriveSecret(c.ks.masterSecret[:], "res master", c.ks.transcriptHash())
+			psk := hkdfExpandLabel(resMaster, "resumption", nonce, sha256.Size)
+			return &Session{Ticket: ticket, PSK: psk, KEMName: c.cfg.KEMName}, nil
 		}
-		r := bytes.NewReader(body)
-		if _, err := readN(r, 8); err != nil { // lifetime + age_add
-			return nil, err
-		}
-		nonceLen, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		nonce, err := readN(r, int(nonceLen))
-		if err != nil {
-			return nil, err
-		}
-		tktLen, err := readU16(r)
-		if err != nil {
-			return nil, err
-		}
-		ticket, err := readN(r, int(tktLen))
-		if err != nil {
-			return nil, err
-		}
-		resMaster := deriveSecret(c.ks.masterSecret[:], "res master", c.ks.transcriptHash())
-		psk := hkdfExpandLabel(resMaster, "resumption", nonce, sha256.Size)
-		return &Session{Ticket: ticket, PSK: psk, KEMName: c.cfg.KEMName}, nil
 	}
 	return nil, errors.New("tls13: no NewSessionTicket in flight")
 }

@@ -41,36 +41,8 @@ func testConfigs(t testing.TB, kemName, sigName string, buffer BufferPolicy) (*C
 // runHandshake drives a complete sans-IO handshake and returns both ends.
 func runHandshake(t testing.TB, cliCfg, srvCfg *Config) (*Client, *Server) {
 	t.Helper()
-	cli, err := NewClient(cliCfg)
+	cli, srv, err := InMemoryHandshake(cliCfg, srvCfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(srvCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := cli.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flushes, err := srv.Respond(ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var final []Record
-	for _, f := range flushes {
-		out, done, err := cli.Consume(f.Records)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			final = out
-		}
-	}
-	if final == nil {
-		t.Fatal("client did not complete after all server flushes")
-	}
-	if err := srv.Finish(final); err != nil {
 		t.Fatal(err)
 	}
 	return cli, srv
@@ -312,14 +284,14 @@ func TestRecordRoundtrip(t *testing.T) {
 	t.Parallel()
 	rec := Record{Type: RecordHandshake, Payload: []byte{1, 2, 3}}
 	wire := rec.Marshal()
-	back, rest, err := ParseRecord(wire)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("parse: %v (rest %d)", err, len(rest))
+	back, err := ReadRecord(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatalf("read: %v", err)
 	}
 	if back.Type != rec.Type || !bytes.Equal(back.Payload, rec.Payload) {
 		t.Error("record roundtrip mismatch")
 	}
-	if _, _, err := ParseRecord(wire[:3]); err == nil {
+	if _, err := ReadRecord(bytes.NewReader(wire[:3])); err == nil {
 		t.Error("short record accepted")
 	}
 }
@@ -382,24 +354,7 @@ func BenchmarkHandshake(b *testing.B) {
 		cliCfg, srvCfg := testConfigs(b, suite.kem, suite.sig, BufferImmediate)
 		b.Run(suite.kem+"_"+strings.ReplaceAll(suite.sig, ":", ""), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cli, _ := NewClient(cliCfg)
-				srv, _ := NewServer(srvCfg)
-				ch, _ := cli.Start()
-				flushes, err := srv.Respond(ch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var final []Record
-				for _, f := range flushes {
-					out, done, err := cli.Consume(f.Records)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if done {
-						final = out
-					}
-				}
-				if err := srv.Finish(final); err != nil {
+				if _, _, err := InMemoryHandshake(cliCfg, srvCfg); err != nil {
 					b.Fatal(err)
 				}
 			}

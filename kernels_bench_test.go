@@ -181,39 +181,14 @@ func benchHandshake(b *testing.B, kemName, sigName string) {
 		b.Fatal(err)
 	}
 	run := func() error {
-		srv, err := pqtls.NewServer(&pqtls.Config{
+		_, _, err := pqtls.InMemoryHandshake(&pqtls.Config{
+			KEMName: kemName, SigName: sigName, ServerName: "server.example",
+			Roots: creds.Roots,
+		}, &pqtls.Config{
 			KEMName: kemName, SigName: sigName, ServerName: "server.example",
 			Chain: creds.Chain, PrivateKey: creds.Priv,
 		})
-		if err != nil {
-			return err
-		}
-		cli, err := pqtls.NewClient(&pqtls.Config{
-			KEMName: kemName, SigName: sigName, ServerName: "server.example",
-			Roots: creds.Roots,
-		})
-		if err != nil {
-			return err
-		}
-		ch, err := cli.Start()
-		if err != nil {
-			return err
-		}
-		flushes, err := srv.Respond(ch)
-		if err != nil {
-			return err
-		}
-		var final []pqtls.Record
-		for _, f := range flushes {
-			out, done, err := cli.Consume(f.Records)
-			if err != nil {
-				return err
-			}
-			if done {
-				final = out
-			}
-		}
-		return srv.Finish(final)
+		return err
 	}
 	if err := run(); err != nil {
 		b.Fatal(err)

@@ -103,6 +103,12 @@ func ServerHandshake(conn io.ReadWriter, cfg *Config) (*Server, error) {
 	return tls13.ServerHandshake(conn, cfg)
 }
 
+// InMemoryHandshake runs a complete handshake between a new client and a
+// new server with no transport, returning both finished endpoints.
+func InMemoryHandshake(clientCfg, serverCfg *Config) (*Client, *Server, error) {
+	return tls13.InMemoryHandshake(clientCfg, serverCfg)
+}
+
 // PKI helpers.
 type (
 	// Certificate is a TLV-encoded certificate with a pluggable signature

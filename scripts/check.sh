@@ -35,10 +35,13 @@ go test -race ./...
 echo "==> benchmark regression gate (short mode: allocs/op only)"
 sh scripts/bench_gate.sh -short
 
-echo "==> fuzz smoke (${FUZZTIME:-5s} per target)"
-for target in FuzzClientHelloParse FuzzServerHelloParse FuzzRecordDeprotect; do
-    go test ./internal/tls13 -run '^$' -fuzz "$target" -fuzztime "${FUZZTIME:-5s}"
+echo "==> fuzz smoke (${FUZZTIME:-5s} per target): every parser a peer reaches"
+for target in FuzzClientHelloParse FuzzServerHelloParse FuzzRecordDeprotect \
+    FuzzHandshakeReassembly FuzzParsePSKExtension FuzzParseCertificate \
+    FuzzParseCertVerify FuzzParseHRRGroup; do
+    go test ./internal/tls13 -run '^$' -fuzz "^$target\$" -fuzztime "${FUZZTIME:-5s}"
 done
+go test ./internal/pki -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime "${FUZZTIME:-5s}"
 
 echo "==> live smoke: loopback handshakes under -race, schedule digest reproducible (incl. -pool)"
 livedir=$(mktemp -d)
